@@ -95,10 +95,7 @@ from .diagram import (
 )
 from .hilbert import (
     HilbertFunction,
-    Monomial,
     free_hilbert,
-    monomial_is_zero,
-    restrict_to_simplex,
     sr_hilbert,
 )
 from .verify import (

@@ -6,7 +6,8 @@ JSON unless --format selects text or dot.
 
 Exit codes: 0 realizable (or success), 10 sufficient-only, 20 not realizable,
 30 unknown, 40 hypothesis violated, 1 verification discrepancy or no
-partition, 2 malformed input or invalid complex.
+partition, 2 malformed input, invalid complex or diagram, or a truncation
+above hilbert.MAX_TRUNCATION.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .decide import (
     full_report,
 )
 from .diagram import ColimitDiagram, build_diagram, diagram_from_json, emit_dot, emit_json
+from .hilbert import MAX_TRUNCATION, check_truncation
 from .verify import verify_construction
 
 EXIT_REALIZABLE = 0
@@ -215,6 +217,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     c = complex_from_json(_read_input(args.input))
+    truncation = args.max_degree
+    if truncation is None:
+        truncation = _default_truncation(c)
+    check_truncation(truncation)
     diagram: ColimitDiagram
     if args.diagram is not None:
         with open(args.diagram, "r", encoding="utf-8") as fh:
@@ -228,9 +234,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
             return verdict_exit(verdict)
         diagram = build_diagram(c, partition)
-    truncation = args.max_degree
-    if truncation is None:
-        truncation = _default_truncation(c)
     report = verify_construction(c, diagram, truncation)
     if args.format == "json":
         out = json.dumps(report.to_json_dict(), indent=2) + "\n"
@@ -319,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the construction dimensionwise")
     add_common(p, ("json", "text"))
     p.add_argument("--max-degree", type=int, default=None,
-                   help="even truncation degree (default: 6 x top degree)")
+                   help="even truncation degree, at most "
+                   f"{MAX_TRUNCATION} (default: 6 x top degree)")
     p.add_argument("--diagram", default=None,
                    help="verify this diagram JSON instead of rebuilding")
     p.set_defaults(func=cmd_verify)

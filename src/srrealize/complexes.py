@@ -174,12 +174,12 @@ class MaxIntersectionPoset:
         return s in set(self.elements)
 
     def covers(self) -> tuple[tuple[Simplex, Simplex], ...]:
-        """Covering pairs (s, t) with s properly below t and nothing between."""
+        """Covering pairs (s, t) with s properly below t and nothing between,
+        in element order: for each s, the minimal elements of those above s."""
         out = []
         for s in self.elements:
-            for t in self.elements:
-                if s < t and not any(s < r < t for r in self.elements):
-                    out.append((s, t))
+            above = [t for t in self.elements if s < t]
+            out.extend((s, t) for t in above if not any(r < t for r in above))
         return tuple(out)
 
     def maximal_elements(self) -> tuple[Simplex, ...]:
@@ -211,13 +211,21 @@ def complex_from_json(text: str) -> ComplexWithDegrees:
 
     {"vertices": [{"id": "x4", "degree": 4}, ...], "facets": [["x4","x6"], ...]}
 
-    Unknown keys are rejected; degrees must be JSON integers.  The result is
+    Unknown keys are rejected; degrees must be JSON integers.  Nesting too
+    deep to decode or to report is malformed input too.  The result is
     validated before being returned.
     """
     try:
-        obj = json.loads(text)
+        c = _complex_from_obj(json.loads(text))
     except json.JSONDecodeError as e:
         raise MalformedInput(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise MalformedInput("input JSON nests too deeply") from None
+    c.validate()
+    return c
+
+
+def _complex_from_obj(obj: object) -> ComplexWithDegrees:
     if not isinstance(obj, dict):
         raise MalformedInput("top-level value must be an object")
     extra = set(obj) - {"vertices", "facets"}
@@ -250,6 +258,4 @@ def complex_from_json(text: str) -> ComplexWithDegrees:
         if not isinstance(f, list) or not all(isinstance(x, str) for x in f):
             raise MalformedInput(f"facet {f!r} must be a list of vertex ids")
         facets.append(frozenset(f))
-    c = ComplexWithDegrees(tuple(decls), tuple(facets))
-    c.validate()
-    return c
+    return ComplexWithDegrees(tuple(decls), tuple(facets))

@@ -412,94 +412,122 @@ def emit_json(d: ColimitDiagram) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _need(obj: dict, key: str, ctx: str):
+def _need(obj: object, key: str, ctx: str) -> object:
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"diagram {ctx} must be an object")
     if key not in obj:
         raise MalformedInput(f"diagram {ctx} is missing {key!r}")
     return obj[key]
 
 
-def _factor_from_json(obj: dict) -> FactorLabel:
+def _typed(obj: object, key: str, ctx: str, typ: type):
+    """obj[key], which must be a typ; a JSON true/false is no int."""
+    value = _need(obj, key, ctx)
+    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+        raise MalformedInput(f"diagram {ctx} {key!r} must be a JSON {typ.__name__}")
+    return value
+
+
+def _id_tuple(value: object, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise MalformedInput(f"diagram {what} must be a list of vertex ids")
+    return tuple(value)
+
+
+def _ids(obj: object, key: str, ctx: str) -> tuple[str, ...]:
+    return _id_tuple(_need(obj, key, ctx), f"{ctx} {key!r}")
+
+
+def _factor_from_json(obj: object) -> FactorLabel:
     kind = _need(obj, "kind", "factor")
     if kind == "BSp":
-        return BSp(int(_need(obj, "n", "factor")))
+        return BSp(_typed(obj, "n", "factor", int))
     if kind == "BSU":
-        return BSU(int(_need(obj, "n", "factor")))
+        return BSU(_typed(obj, "n", "factor", int))
     if kind == "CP":
-        return CPInfPower(int(_need(obj, "k", "factor")))
+        return CPInfPower(_typed(obj, "k", "factor", int))
     if kind == "point":
         return Point()
     raise MalformedInput(f"unknown factor kind {kind!r}")
 
 
-def _lie_from_json(obj: dict | None) -> LieMap | None:
+def _lie_from_json(obj: object) -> LieMap | None:
     if obj is None:
         return None
     kind = _need(obj, "kind", "map")
     if kind == "from_point":
         return FromPoint()
     if kind == "iota2":
-        return Iota2Power(int(_need(obj, "power", "map")))
+        return Iota2Power(_typed(obj, "power", "map", int))
     if kind == "iota1":
         return Iota1Power(
-            int(_need(obj, "power", "map")), bool(_need(obj, "after_iota3", "map"))
+            _typed(obj, "power", "map", int), _typed(obj, "after_iota3", "map", bool)
         )
     raise MalformedInput(f"unknown map kind {kind!r}")
 
 
+def _block_map_from_json(m: object) -> BlockMap:
+    block = _typed(m, "block", "edge map", int)
+    lie = _lie_from_json(_need(m, "lie", "edge map"))
+    cp = m.get("cp")
+    if cp is not None:
+        cp = CPInclusion(_ids(cp, "source", "cp map"), _ids(cp, "target", "cp map"))
+    return BlockMap(block, lie, cp)
+
+
+def _generator_map(obj: object) -> tuple[tuple[str, str | None], ...]:
+    if not isinstance(obj, dict) or not all(
+        v is None or isinstance(v, str) for v in obj.values()
+    ):
+        raise MalformedInput(
+            "diagram generator_map must map vertex ids to ids or null"
+        )
+    return tuple((v, obj[v]) for v in sorted(obj))
+
+
 def diagram_from_json(text: str) -> ColimitDiagram:
+    """Parse emit_json's format.  Every field must have the JSON type that
+    emit_json writes; nothing is coerced.  Nesting too deep to decode or to
+    report is malformed input too."""
     try:
-        obj = json.loads(text)
+        return _diagram_from_obj(json.loads(text))
     except json.JSONDecodeError as e:
         raise MalformedInput(f"invalid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise MalformedInput("diagram must be a JSON object")
-    partition = Partition(
-        tuple(tuple(str(v) for v in b) for b in _need(obj, "partition", "file"))
-    )
+    except RecursionError:
+        raise MalformedInput("diagram JSON nests too deeply") from None
+
+
+def _diagram_from_obj(obj: object) -> ColimitDiagram:
+    partition = Partition(tuple(
+        _id_tuple(b, "partition block")
+        for b in _typed(obj, "partition", "file", list)
+    ))
     nodes = []
-    for n in _need(obj, "nodes", "file"):
+    for n in _typed(obj, "nodes", "file", list):
         blocks = tuple(
             BlockLabel(
-                int(_need(f, "block", "node factor")),
+                _typed(f, "block", "node factor", int),
                 _factor_from_json(_need(f, "factor", "node factor")),
-                tuple(str(v) for v in _need(f, "cp_vertices", "node factor")),
-                tuple(str(v) for v in _need(f, "lie_vertices", "node factor")),
+                _ids(f, "cp_vertices", "node factor"),
+                _ids(f, "lie_vertices", "node factor"),
             )
-            for f in _need(n, "factors", "node")
+            for f in _typed(n, "factors", "node", list)
         )
-        nodes.append(
-            DiagramNode(
-                str(_need(n, "name", "node")),
-                tuple(str(v) for v in _need(n, "simplex", "node")),
-                blocks,
-            )
-        )
+        nodes.append(DiagramNode(
+            _typed(n, "name", "node", str), _ids(n, "simplex", "node"), blocks
+        ))
     edges = []
-    for e in _need(obj, "edges", "file"):
+    for e in _typed(obj, "edges", "file", list):
         maps = tuple(
-            BlockMap(
-                int(_need(m, "block", "edge map")),
-                _lie_from_json(_need(m, "lie", "edge map")),
-                None
-                if m.get("cp") is None
-                else CPInclusion(
-                    tuple(str(v) for v in _need(m["cp"], "source", "cp map")),
-                    tuple(str(v) for v in _need(m["cp"], "target", "cp map")),
-                ),
-            )
-            for m in _need(e, "maps", "edge")
+            _block_map_from_json(m) for m in _typed(e, "maps", "edge", list)
         )
-        gmap = _need(e, "generator_map", "edge")
         label = EdgeLabel(
-            tuple(str(v) for v in _need(e, "source", "edge")),
-            tuple(str(v) for v in _need(e, "target", "edge")),
+            _ids(e, "source", "edge"),
+            _ids(e, "target", "edge"),
             maps,
-            tuple(
-                (v, None if gmap[v] is None else str(gmap[v]))
-                for v in sorted(gmap)
-            ),
+            _generator_map(_need(e, "generator_map", "edge")),
         )
-        edges.append(
-            DiagramEdge(str(_need(e, "from", "edge")), str(_need(e, "to", "edge")), label)
-        )
+        edges.append(DiagramEdge(
+            _typed(e, "from", "edge", str), _typed(e, "to", "edge", str), label
+        ))
     return ColimitDiagram(partition, tuple(nodes), tuple(edges))

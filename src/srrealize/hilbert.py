@@ -1,37 +1,31 @@
 """Graded dimension counting for Stanley-Reisner rings and free polynomial rings.
 
-The Stanley-Reisner ring of a complex has a monomial basis: exponent vectors
-whose support is a face.  Dimensions are counted per face (monomials whose
-support is exactly that face, every exponent at least 1) and summed.  All
-counts are exact Python integers; only even degrees carry anything, so a
-Hilbert function stores even degrees 0..D.
+The Stanley-Reisner ring of a complex K has a monomial basis: exponent
+vectors whose support is a face.  Its dimensions come from the
+facet-intersection poset P by Moebius inversion (Rota 1964):
+
+    dim SR(K)^d = sum over s in P of c(s) * dim Z[s]^d,
+    c(s) = 1 - sum over t in P with t properly containing s of c(t),
+
+where Z[s] is the free ring on the vertices of s.  A monomial with support
+the face f lies in Z[s] exactly when f <= s, so the sum counts it
+sum_{s >= f} c(s) times.  The elements of P containing f have a least
+element, the intersection m of the facets that contain f, and every
+element containing m contains f; so that sum is sum_{s >= m} c(s), which is
+1 by the definition of c.  Elements of weight 0 are skipped.
+
+All counts are exact Python integers; only even degrees carry anything, so a
+Hilbert function stores even degrees 0..D.  D is capped at MAX_TRUNCATION,
+which bounds the size of every table built here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complexes import (
-    ComplexWithDegrees,
-    DegreeMultiset,
-    Simplex,
-    UnknownVertex,
-    all_faces,
-)
+from .complexes import ComplexWithDegrees, DegreeMultiset, Simplex, pmax
 
-
-@dataclass(frozen=True)
-class Monomial:
-    """An exponent vector over vertex ids; entries must be nonnegative."""
-
-    exponents: Mapping[str, int]
-
-    @property
-    def support(self) -> Simplex:
-        return frozenset(v for v, e in self.exponents.items() if e > 0)
-
-    def degree(self, c: ComplexWithDegrees) -> int:
-        return sum(c.degree(v) * e for v, e in self.exponents.items())
+MAX_TRUNCATION = 10_000
 
 
 @dataclass(frozen=True)
@@ -53,19 +47,15 @@ class HilbertFunction:
         }
 
 
-def _check_truncation(d: int) -> None:
+def check_truncation(d: int) -> None:
+    """Reject a truncation degree that is odd, negative or above
+    MAX_TRUNCATION."""
     if d < 0 or d % 2 != 0:
         raise ValueError(f"truncation degree must be even and >= 0, got {d}")
-
-
-def monomial_is_zero(c: ComplexWithDegrees, m: Monomial) -> bool:
-    """A monomial vanishes exactly when its support is a non-face."""
-    for v, e in m.exponents.items():
-        if v not in c.degree_map:
-            raise UnknownVertex(f"unknown vertex {v!r}")
-        if e < 0:
-            raise ValueError(f"negative exponent for {v!r}")
-    return not c.is_face(m.support)
+    if d > MAX_TRUNCATION:
+        raise ValueError(
+            f"truncation degree {d} exceeds the cap of {MAX_TRUNCATION}"
+        )
 
 
 def _count_ways(degrees: Sequence[int], cap: int) -> list[int]:
@@ -82,7 +72,7 @@ def _count_ways(degrees: Sequence[int], cap: int) -> list[int]:
 def free_hilbert(ms: DegreeMultiset, truncation: int) -> HilbertFunction:
     """Hilbert function of a free polynomial ring on generators with the
     given even degrees."""
-    _check_truncation(truncation)
+    check_truncation(truncation)
     for d in ms:
         if d <= 0 or d % 2 != 0:
             raise ValueError(f"generator degree {d} must be a positive even integer")
@@ -93,22 +83,23 @@ def free_hilbert(ms: DegreeMultiset, truncation: int) -> HilbertFunction:
 
 
 def sr_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
-    """Hilbert function of the Stanley-Reisner ring, computed per face."""
-    _check_truncation(truncation)
+    """Hilbert function of the Stanley-Reisner ring, by Moebius inversion
+    over the facet-intersection poset.  A complex without facets is the
+    point."""
+    check_truncation(truncation)
     dims = {d: 0 for d in range(0, truncation + 1, 2)}
-    for face in all_faces(c):
-        degs = [c.degree(v) for v in face]
-        base = sum(degs)
-        if base > truncation:
-            continue
-        # exponents >= 1 on the face: shift by one copy of each degree
-        ways = _count_ways(degs, truncation - base)
-        for off in range(0, truncation - base + 1, 2):
-            dims[base + off] += ways[off]
+    if not c.facets:
+        dims[0] = 1
+        return HilbertFunction(truncation, dims)
+    # top-down by size, so everything properly above s is weighed before s;
+    # only nonzero weights are kept
+    weight: dict[Simplex, int] = {}
+    for s in sorted(pmax(c).elements, key=len, reverse=True):
+        w = 1 - sum(cw for t, cw in weight.items() if s < t)
+        if w:
+            weight[s] = w
+    for s, w in weight.items():
+        ways = _count_ways([c.degree(v) for v in s], truncation)
+        for d in dims:
+            dims[d] += w * ways[d]
     return HilbertFunction(truncation, dims)
-
-
-def restrict_to_simplex(c: ComplexWithDegrees, s: Simplex) -> DegreeMultiset:
-    """Degree multiset of a face; the full subcomplex on s has the free ring
-    on exactly these degrees as its Stanley-Reisner ring."""
-    return c.degree_multiset(s)

@@ -13,7 +13,8 @@ cohomology of its simplex (equal Hilbert functions up to the truncation), and
 every edge's induced generator map is the Stanley-Reisner projection.
 
 brute_oracle_hilbert recounts dimensions by direct enumeration of exponent
-vectors; it shares no code path with sr_hilbert and exists to cross-check it.
+vectors; it shares no counting code with sr_hilbert and exists to
+cross-check it.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .diagram import (
     label_degree_multiset,
     node_name,
 )
-from .hilbert import HilbertFunction, free_hilbert, sr_hilbert
+from .hilbert import HilbertFunction, check_truncation, free_hilbert, sr_hilbert
 
 
 @dataclass
@@ -241,8 +242,7 @@ def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunct
     """Count basis monomials by enumerating exponent vectors directly,
     pruning branches whose support already fails to be a face.  This is the
     slow cross-check for sr_hilbert."""
-    if truncation < 0 or truncation % 2 != 0:
-        raise ValueError(f"truncation degree must be even and >= 0, got {truncation}")
+    check_truncation(truncation)
     ids = sorted(c.sorted_ids, key=lambda v: -c.degree(v))
     degs = [c.degree(v) for v in ids]
     facets = c.facets

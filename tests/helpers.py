@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles deliberately avoid the package's fast paths: counting is done by
-plain recursion over exponents, poset elements by intersecting every facet
-subset, and primes by trial division.
+plain recursion over exponents or face by face, poset elements by
+intersecting every facet subset, covering pairs by testing every triple, and
+primes by trial division.
 """
 from __future__ import annotations
 
@@ -10,7 +11,23 @@ import itertools
 import random
 from typing import Iterable, Sequence
 
-from srrealize import ComplexWithDegrees, Simplex, make_complex, simplex_key
+from hypothesis import HealthCheck, settings, strategies as st
+
+from srrealize import (
+    ComplexWithDegrees,
+    HilbertFunction,
+    Simplex,
+    all_faces,
+    make_complex,
+    simplex_key,
+)
+
+# Property tests run a fixed example sequence, so a run is repeatable, and
+# take no timing into account, so a loaded host cannot fail them.
+PROPERTY = settings(
+    max_examples=200, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def ring_468() -> ComplexWithDegrees:
@@ -75,6 +92,38 @@ def naive_sr_count(c: ComplexWithDegrees, d: int) -> int:
         return total
 
     return walk(0, d, frozenset())
+
+
+def face_sum_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
+    """Stanley-Reisner Hilbert function summed face by face: for every face,
+    the monomials whose support is exactly that face (every exponent at
+    least 1).  Lists every face, so it is exponential in the facet size."""
+    dims = {d: 0 for d in range(0, truncation + 1, 2)}
+    for face in all_faces(c):
+        degs = [c.degree(v) for v in face]
+        base = sum(degs)
+        if base > truncation:
+            continue
+        # ways[d]: exponent vectors over the face's generators of degree d
+        ways = [1] + [0] * (truncation - base)
+        for deg in degs:
+            for d in range(deg, truncation - base + 1):
+                ways[d] += ways[d - deg]
+        for off in range(0, truncation - base + 1, 2):
+            dims[base + off] += ways[off]
+    return HilbertFunction(truncation, dims)
+
+
+def naive_covers(
+    elements: Sequence[Simplex],
+) -> tuple[tuple[Simplex, Simplex], ...]:
+    """Covering pairs by testing every triple, in element order."""
+    return tuple(
+        (s, t)
+        for s in elements
+        for t in elements
+        if s < t and not any(s < r < t for r in elements)
+    )
 
 
 def brute_pmax(c: ComplexWithDegrees) -> list[Simplex]:
@@ -166,3 +215,40 @@ def antichain_complexes_24(
                     continue
                 for degs in itertools.product((2, 4), repeat=nv):
                     yield make_complex(dict(zip(ids, degs)), family)
+
+
+@st.composite
+def complexes(draw) -> ComplexWithDegrees:
+    """Complexes on at most 6 vertices with degrees in {2,...,12}: random
+    antichains, pairwise-disjoint facets (so the empty simplex is a poset
+    element), a single facet, and no facets at all; facets in any order."""
+    shape = draw(st.sampled_from(["antichain", "disjoint", "one", "none"]))
+    if shape == "none":
+        return make_complex({}, [])
+    ids = [f"v{i}" for i in range(draw(st.integers(1 if shape == "one" else 2, 6)))]
+    degree = st.sampled_from([2, 4, 6, 8, 10, 12])
+    if shape == "one":
+        facets = [frozenset(ids)]
+    elif shape == "disjoint":
+        order = draw(st.permutations(ids))
+        cuts = sorted(draw(st.sets(st.integers(1, len(ids) - 1), min_size=1)))
+        facets = [
+            frozenset(order[a:b]) for a, b in zip([0] + cuts, cuts + [len(ids)])
+        ]
+    else:
+        # distinct sets of one size form an antichain; a few sets at most
+        # one larger mix the sizes
+        k = draw(st.integers(1, len(ids) - 1))
+        cand = draw(st.sets(
+            st.frozensets(st.sampled_from(ids), min_size=k, max_size=k),
+            min_size=2, max_size=5,
+        )) | set(draw(st.lists(
+            st.frozensets(st.sampled_from(ids), min_size=1, max_size=k + 1),
+            max_size=2,
+        )))
+        facets = sorted(
+            (s for s in cand if not any(s < t for t in cand)), key=simplex_key
+        )
+    facets = draw(st.permutations(facets))
+    used = sorted(set().union(*facets))
+    return make_complex({v: draw(degree) for v in used}, facets)

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from helpers import naive_congruence_prime
 
 RING_468 = json.dumps({
@@ -210,6 +212,74 @@ class TestVerify:
         path.write_text(built.stdout)
         r = run(["verify", "--diagram", str(path), "--max-degree", "24"], RING_468)
         assert r.returncode == 0
+
+
+def _diagram_mutation(obj, case):
+    node = next(n for n in obj["nodes"] if n["name"] == "sigma_x4_x6")
+    iota1 = next(
+        m for e in obj["edges"] for m in e["maps"]
+        if m["lie"] and m["lie"]["kind"] == "iota1"
+    )
+    if case == "string_partition":
+        obj["partition"] = "x4x6x8"
+    elif case == "bool_block":
+        node["factors"][0]["block"] = False
+    elif case == "float_block":
+        node["factors"][0]["block"] = 0.0
+    elif case == "string_rank":
+        node["factors"][0]["factor"]["n"] = str(node["factors"][0]["factor"]["n"])
+    elif case == "int_after_iota3":
+        iota1["lie"]["after_iota3"] = 1
+    elif case == "int_vertex_id":
+        node["simplex"] = [4, 6]
+    elif case == "node_not_object":
+        obj["nodes"][0] = 5
+    return obj
+
+
+class TestInputHardening:
+    """Malformed, deep or oversized input exits 2, never with a traceback
+    or with exit 1 (the code for a verify discrepancy)."""
+
+    @pytest.mark.parametrize("depth", [995, 100_000])
+    def test_deeply_nested_complex(self, depth):
+        text = '{"vertices": [' + "[" * depth + "]" * depth + '], "facets": []}'
+        r = run(["check"], text)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("depth", [995, 100_000])
+    def test_deeply_nested_diagram(self, depth, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"partition": ' + "[" * depth + "]" * depth + "}")
+        r = run(["verify", "--diagram", str(path)], RING_468)
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("case", [
+        "string_partition", "bool_block", "float_block", "string_rank",
+        "int_after_iota3", "int_vertex_id", "node_not_object",
+    ])
+    def test_diagram_field_of_wrong_type(self, case, tmp_path):
+        obj = _diagram_mutation(json.loads(run(["construct"], RING_468).stdout), case)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(obj))
+        r = run(["verify", "--diagram", str(path)], RING_468)
+        assert r.returncode == 2, (case, r.stdout, r.stderr)
+        assert r.stderr.startswith("error: diagram")
+
+    def test_max_degree_above_cap(self):
+        r = run(["verify", "--max-degree", "10002"], RING_468)
+        assert r.returncode == 2
+        assert r.stderr == "error: truncation degree 10002 exceeds the cap of 10000\n"
+
+    def test_default_truncation_above_cap(self):
+        huge = json.dumps({
+            "vertices": [{"id": "a", "degree": 10**12}], "facets": [["a"]],
+        })
+        r = run(["verify"], huge)
+        assert r.returncode == 2
+        assert "exceeds the cap of 10000" in r.stderr
 
 
 class TestPartition:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
 
 from srrealize import (
     ComplexError,
@@ -22,7 +23,15 @@ from srrealize import (
     simplex_key,
 )
 
-from helpers import brute_pmax, random_complex, ring_468, ring_double_fan
+from helpers import (
+    PROPERTY,
+    brute_pmax,
+    complexes,
+    naive_covers,
+    random_complex,
+    ring_468,
+    ring_double_fan,
+)
 
 
 def test_validate_accepts_good_complex():
@@ -152,6 +161,13 @@ def test_covers_have_nothing_between():
     for s, t in poset.covers():
         assert s < t
         assert not any(s < r < t for r in els)
+
+
+@PROPERTY
+@given(complexes())
+def test_covers_match_triple_loop_oracle(c):
+    poset = pmax(c)
+    assert poset.covers() == naive_covers(poset.elements)
 
 
 def test_complex_from_json_roundtrip():

@@ -1,49 +1,29 @@
-"""Graded dimension counting: free rings, Stanley-Reisner rings, monomials."""
+"""Graded dimension counting: free rings and Stanley-Reisner rings."""
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from srrealize import (
     HilbertFunction,
-    Monomial,
     NotAFace,
-    UnknownVertex,
     free_hilbert,
     make_complex,
-    monomial_is_zero,
-    restrict_to_simplex,
     sr_hilbert,
 )
+from srrealize.hilbert import MAX_TRUNCATION
+from srrealize.verify import brute_oracle_hilbert
 
-from helpers import naive_count, naive_sr_count, random_complex, ring_468, ring_split46
-
-
-class TestMonomial:
-    def test_support_drops_zero_exponents(self):
-        m = Monomial({"x4": 2, "x6": 0})
-        assert m.support == frozenset({"x4"})
-
-    def test_degree(self):
-        c = ring_468()
-        assert Monomial({"x4": 2, "x6": 1}).degree(c) == 14
-        assert Monomial({}).degree(c) == 0
-
-    def test_zero_iff_support_is_nonface(self):
-        c = ring_468()
-        assert monomial_is_zero(c, Monomial({"x6": 1, "x8": 1}))
-        assert monomial_is_zero(c, Monomial({"x4": 3, "x6": 1, "x8": 2}))
-        assert not monomial_is_zero(c, Monomial({"x4": 5, "x6": 2}))
-        assert not monomial_is_zero(c, Monomial({}))
-        # an exponent of 0 does not put the vertex in the support
-        assert not monomial_is_zero(c, Monomial({"x6": 1, "x8": 0}))
-
-    def test_unknown_vertex_rejected(self):
-        with pytest.raises(UnknownVertex):
-            monomial_is_zero(ring_468(), Monomial({"nope": 1}))
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            monomial_is_zero(ring_468(), Monomial({"x4": -1}))
+from helpers import (
+    PROPERTY,
+    complexes,
+    face_sum_hilbert,
+    naive_count,
+    naive_sr_count,
+    random_complex,
+    ring_468,
+    ring_split46,
+)
 
 
 class TestHilbertFunction:
@@ -134,21 +114,36 @@ class TestSrHilbert:
         with pytest.raises(ValueError):
             sr_hilbert(ring_468(), 7)
 
+    def test_rejects_truncation_above_cap(self):
+        sr_hilbert(ring_468(), MAX_TRUNCATION)
+        with pytest.raises(ValueError, match="cap of 10000"):
+            sr_hilbert(ring_468(), MAX_TRUNCATION + 2)
+
+    @PROPERTY
+    @given(complexes(), st.integers(0, 12).map(lambda k: 2 * k))
+    def test_moebius_sum_matches_face_sum_and_brute_oracle(self, c, truncation):
+        want = list(face_sum_hilbert(c, truncation).dims.items())
+        assert list(sr_hilbert(c, truncation).dims.items()) == want
+        assert list(brute_oracle_hilbert(c, truncation).dims.items()) == want
+
 
 class TestRestrictToSimplex:
+    """Restricting a complex to one of its faces leaves the free ring on
+    that face's degree multiset."""
+
     def test_returns_sorted_degrees(self):
         c = ring_468()
-        assert restrict_to_simplex(c, frozenset({"x8", "x4"})) == (4, 8)
-        assert restrict_to_simplex(c, frozenset()) == ()
+        assert c.degree_multiset(frozenset({"x8", "x4"})) == (4, 8)
+        assert c.degree_multiset(frozenset()) == ()
 
     def test_rejects_nonface(self):
         with pytest.raises(NotAFace):
-            restrict_to_simplex(ring_468(), frozenset({"x6", "x8"}))
+            ring_468().degree_multiset(frozenset({"x6", "x8"}))
 
     def test_restriction_carries_the_free_ring(self):
         c = ring_468()
         s = frozenset({"x4", "x6"})
         sub = make_complex({v: c.degree(v) for v in s}, [s])
         assert dict(sr_hilbert(sub, 20).dims) == dict(
-            free_hilbert(restrict_to_simplex(c, s), 20).dims
+            free_hilbert(c.degree_multiset(s), 20).dims
         )
