@@ -101,8 +101,6 @@ from .hilbert import (
 from .verify import (
     VerificationReport,
     brute_oracle_hilbert,
-    intersection_complex,
-    kernel_dim,
     pushout_recurrence_check,
     verify_construction,
 )

@@ -134,7 +134,8 @@ def _match_exceptional(rest: DegreeMultiset) -> int | None:
         return None
     top = max(rest)
     n = 3
-    while 2 ** (n + 1) - 4 <= top:
+    # exceptional_degrees(n) has 2^(n-1) entries, the largest 2^(n+1) - 4
+    while 2 ** (n + 1) - 4 <= top and 2 ** (n - 1) <= len(rest):
         if rest == exceptional_degrees(n):
             return n
         n += 1
@@ -175,22 +176,26 @@ _FIXED_TABLE_ROWS: tuple[DegreeMultiset, ...] = (
 )
 
 
-def _table_families_up_to(top: int) -> tuple[DegreeMultiset, ...]:
+def _table_families_up_to(top: int, size: int) -> tuple[DegreeMultiset, ...]:
+    """The table rows with no degree above top and at most size entries:
+    the only rows that fit inside a multiset of size entries whose largest
+    degree is top.  Both bounds keep the table small for huge degrees."""
     fams: set[DegreeMultiset] = set()
     n = 2
-    while 2 * n <= top:  # {4, 6, ..., 2n}
+    while 2 * n <= top and n - 1 <= size:  # {4, 6, ..., 2n}
         fams.add(tuple(range(4, 2 * n + 1, 2)))
         n += 1
     n = 1
-    while 4 * n <= top:  # {4, 8, ..., 4n}
+    while 4 * n <= top and n <= size:  # {4, 8, ..., 4n}
         fams.add(tuple(range(4, 4 * n + 1, 4)))
         n += 1
     n = 4
-    while max(4 * (n - 1), 2 * n) <= top:  # {4, 8, ..., 4(n-1)} + {2n}
+    # {4, 8, ..., 4(n-1)} + {2n}
+    while max(4 * (n - 1), 2 * n) <= top and n <= size:
         fams.add(tuple(sorted(list(range(4, 4 * n - 3, 4)) + [2 * n])))
         n += 1
     for row in _FIXED_TABLE_ROWS:
-        if max(row) <= top:
+        if max(row) <= top and len(row) <= size:
             fams.add(row)
     return tuple(sorted(fams))
 
@@ -206,7 +211,7 @@ def aguade_table_member(ms: Sequence[int]) -> bool:
     rest = tuple(d for d in _normalize(ms) if d != 2)
     if not rest:
         return True
-    fams = [Counter(f) for f in _table_families_up_to(max(rest))]
+    fams = [Counter(f) for f in _table_families_up_to(max(rest), len(rest))]
 
     @lru_cache(maxsize=None)
     def decompose(remaining: DegreeMultiset) -> bool:

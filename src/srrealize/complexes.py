@@ -170,9 +170,6 @@ class MaxIntersectionPoset:
 
     elements: tuple[Simplex, ...]
 
-    def __contains__(self, s: object) -> bool:
-        return s in set(self.elements)
-
     def covers(self) -> tuple[tuple[Simplex, Simplex], ...]:
         """Covering pairs (s, t) with s properly below t and nothing between,
         in element order: for each s, the minimal elements of those above s."""
@@ -181,11 +178,6 @@ class MaxIntersectionPoset:
             above = [t for t in self.elements if s < t]
             out.extend((s, t) for t in above if not any(r < t for r in above))
         return tuple(out)
-
-    def maximal_elements(self) -> tuple[Simplex, ...]:
-        return tuple(
-            s for s in self.elements if not any(s < t for t in self.elements)
-        )
 
 
 def pmax(c: ComplexWithDegrees) -> MaxIntersectionPoset:

@@ -1,18 +1,24 @@
 """Graded dimension counting for Stanley-Reisner rings and free polynomial rings.
 
 The Stanley-Reisner ring of a complex K has a monomial basis: exponent
-vectors whose support is a face.  Its dimensions come from the
-facet-intersection poset P by Moebius inversion (Rota 1964):
+vectors whose support is a face.  Its dimensions come from a family F of
+faces by Moebius inversion (Rota 1964):
 
-    dim SR(K)^d = sum over s in P of c(s) * dim Z[s]^d,
-    c(s) = 1 - sum over t in P with t properly containing s of c(t),
+    dim SR(K)^d = sum over s in F of c(s) * dim Z[s]^d,
+    c(s) = 1 - sum over t in F with t properly containing s of c(t),
 
-where Z[s] is the free ring on the vertices of s.  A monomial with support
-the face f lies in Z[s] exactly when f <= s, so the sum counts it
-sum_{s >= f} c(s) times.  The elements of P containing f have a least
-element, the intersection m of the facets that contain f, and every
-element containing m contains f; so that sum is sum_{s >= m} c(s), which is
-1 by the definition of c.  Elements of weight 0 are skipped.
+where Z[s] is the free ring on the vertices of s.  The sum is exact for any
+family F that contains every facet of K and is closed under pairwise
+intersection.  A monomial with support the face f lies in Z[s] exactly when
+f <= s, so the sum counts it sum_{s >= f} c(s) times.  The elements of F
+containing f are not empty (a facet contains f) and are closed under
+intersection, so they have a least element m, the intersection of all of
+them; and every element containing m contains f.  So that sum is
+sum_{s >= m} c(s), which is 1 by the definition of c.  A face in no element
+of F is not a face of K and is counted 0 times.  The facet-intersection
+poset P is the smallest such family; P plus the empty face is another, and
+for a complex without facets it is {empty face}, the point.  Elements of
+weight 0 are skipped.
 
 All counts are exact Python integers; only even degrees carry anything, so a
 Hilbert function stores even degrees 0..D.  D is capped at MAX_TRUNCATION,
@@ -21,7 +27,7 @@ which bounds the size of every table built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .complexes import ComplexWithDegrees, DegreeMultiset, Simplex, pmax
 
@@ -82,24 +88,46 @@ def free_hilbert(ms: DegreeMultiset, truncation: int) -> HilbertFunction:
     )
 
 
-def sr_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
-    """Hilbert function of the Stanley-Reisner ring, by Moebius inversion
-    over the facet-intersection poset.  A complex without facets is the
-    point."""
+def bitmasks(c: ComplexWithDegrees, faces: Iterable[Simplex]) -> list[int]:
+    """The faces as vertex bitmasks: bit i stands for c.sorted_ids[i]."""
+    bit = {v: 1 << i for i, v in enumerate(c.sorted_ids)}
+    return [sum(bit[v] for v in s) for s in faces]
+
+
+def mobius_hilbert(
+    c: ComplexWithDegrees, family: Iterable[int], truncation: int
+) -> HilbertFunction:
+    """Hilbert function of the Stanley-Reisner ring of the complex whose
+    faces lie in some member of family, by Moebius inversion over family
+    (faces as bitmasks of c's vertices, see bitmasks).  Exact when family
+    is closed under intersection and contains every facet of that complex."""
     check_truncation(truncation)
-    dims = {d: 0 for d in range(0, truncation + 1, 2)}
-    if not c.facets:
-        dims[0] = 1
-        return HilbertFunction(truncation, dims)
-    # top-down by size, so everything properly above s is weighed before s;
-    # only nonzero weights are kept
-    weight: dict[Simplex, int] = {}
-    for s in sorted(pmax(c).elements, key=len, reverse=True):
-        w = 1 - sum(cw for t, cw in weight.items() if s < t)
+    # top-down by size, so everything properly above s is weighed before s
+    # (an element of the same size containing s is s itself); only nonzero
+    # weights are kept
+    weight: dict[int, int] = {}
+    for s in sorted(family, key=int.bit_count, reverse=True):
+        w = 1 - sum(cw for t, cw in weight.items() if t & s == s)
         if w:
             weight[s] = w
+    # one free-ring count per distinct degree multiset
+    degrees = [c.degree(v) for v in c.sorted_ids]
+    per_multiset: dict[DegreeMultiset, int] = {}
     for s, w in weight.items():
-        ways = _count_ways([c.degree(v) for v in s], truncation)
-        for d in dims:
-            dims[d] += w * ways[d]
+        ms = tuple(sorted(d for i, d in enumerate(degrees) if s >> i & 1))
+        per_multiset[ms] = per_multiset.get(ms, 0) + w
+    dims = {d: 0 for d in range(0, truncation + 1, 2)}
+    for ms, w in per_multiset.items():
+        if w:
+            ways = _count_ways(ms, truncation)
+            for d in dims:
+                dims[d] += w * ways[d]
     return HilbertFunction(truncation, dims)
+
+
+def sr_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
+    """Hilbert function of the Stanley-Reisner ring, by Moebius inversion
+    over the facet-intersection poset plus the empty face (so a complex
+    without facets is the point)."""
+    family = {0, *bitmasks(c, pmax(c).elements)}
+    return mobius_hilbert(c, family, truncation)

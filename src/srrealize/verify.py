@@ -5,12 +5,20 @@ Stanley-Reisner rings that gives, for every even degree d,
 
     dim SR(K_j)^d = dim SR(K_{j-1})^d + dim Z[s_j]^d - dim SR(K_{j-1} /\\ s_j)^d
 
-where s_j is the facet added at step j and the intersection complex consists
-of the faces of s_j that are already faces of K_{j-1}.  An empty intersection
-contributes dimension 1 in degree 0 (the point).  verify_construction couples
-this recurrence with two per-diagram checks: every node label has the free
-cohomology of its simplex (equal Hilbert functions up to the truncation), and
-every edge's induced generator map is the Stanley-Reisner projection.
+where K_j is the complex on the first j facets and s_j is the facet added
+at step j.  The check grows one family of faces a step at a time: F_0 is
+{empty face}, the point; at step j, Q_j = {s_j & t : t in F_{j-1}} and
+F_j = F_{j-1} | Q_j | {s_j}.  F_j is closed under intersection and holds
+the facets of K_j; Q_j is closed under intersection and holds the facets of
+K_{j-1} /\\ s_j (the empty face alone when s_j meets nothing before it, the
+point again).  So each side of the recurrence is its own Moebius sum
+(hilbert.mobius_hilbert): dim SR(K_j) over F_j, dim SR(K_{j-1} /\\ s_j) over
+Q_j, dim Z[s_j] by free_hilbert, and dim SR(K_{j-1}) is the previous step's
+sum.  No side is derived from the others, so the recurrence checks the
+Moebius sums.  verify_construction couples it with two per-diagram checks:
+every node label has the free cohomology of its simplex (equal Hilbert
+functions up to the truncation), and every edge's induced generator map is
+the Stanley-Reisner projection.
 
 brute_oracle_hilbert recounts dimensions by direct enumeration of exponent
 vectors; it shares no counting code with sr_hilbert and exists to
@@ -20,13 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (
-    ComplexWithDegrees,
-    Simplex,
-    VertexDecl,
-    pmax,
-    simplex_key,
-)
+from .complexes import ComplexWithDegrees, pmax, simplex_key
 from .diagram import (
     ColimitDiagram,
     NoCanonicalMap,
@@ -34,7 +36,13 @@ from .diagram import (
     label_degree_multiset,
     node_name,
 )
-from .hilbert import HilbertFunction, check_truncation, free_hilbert, sr_hilbert
+from .hilbert import (
+    HilbertFunction,
+    bitmasks,
+    check_truncation,
+    free_hilbert,
+    mobius_hilbert,
+)
 
 
 @dataclass
@@ -177,64 +185,24 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _subcomplex_on_facets(
-    parent: ComplexWithDegrees, facets: tuple[Simplex, ...]
-) -> ComplexWithDegrees:
-    used = set().union(*facets) if facets else set()
-    return ComplexWithDegrees(
-        vertices=tuple(
-            VertexDecl(v, parent.degree(v)) for v in sorted(used)
-        ),
-        facets=facets,
-    )
-
-
-def _maximalize(candidates: set[Simplex]) -> tuple[Simplex, ...]:
-    kept = [
-        s for s in candidates if s and not any(s < t for t in candidates)
-    ]
-    return tuple(sorted(kept, key=simplex_key))
-
-
-def intersection_complex(
-    c1: ComplexWithDegrees, c2: ComplexWithDegrees
-) -> ComplexWithDegrees:
-    """The complex whose faces are common to both inputs."""
-    for v in set(c1.degree_map) & set(c2.degree_map):
-        if c1.degree(v) != c2.degree(v):
-            raise ValueError(f"vertex {v!r} has conflicting degrees")
-    candidates = {f1 & f2 for f1 in c1.facets for f2 in c2.facets}
-    return _subcomplex_on_facets(c1, _maximalize(candidates))
-
-
-def kernel_dim(c1: ComplexWithDegrees, c2: ComplexWithDegrees, d: int) -> int:
-    """Degree-d dimension of the kernel of SR(K1 union K2) -> SR(K1) x SR(K2)
-    measured through inclusion-exclusion:
-    dim SR(K1)^d + dim SR(K2)^d - dim SR(K1 /\\ K2)^d."""
-    if d < 0 or d % 2 != 0:
-        raise ValueError(f"degree must be even and >= 0, got {d}")
-    inter = intersection_complex(c1, c2)
-    return sr_hilbert(c1, d).at(d) + sr_hilbert(c2, d).at(d) - sr_hilbert(inter, d).at(d)
-
-
 def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> VerificationReport:
     """Check the facet-by-facet gluing recurrence for every even degree up to
     the truncation, in the complex's facet order."""
     report = VerificationReport(truncation)
-    prev = ComplexWithDegrees((), ())
-    prev_h = sr_hilbert(prev, truncation)
-    for j, facet in enumerate(c.facets, start=1):
-        current = _subcomplex_on_facets(c, c.facets[:j])
-        cur_h = sr_hilbert(current, truncation)
+    family = {0}  # F_0
+    prev_h = mobius_hilbert(c, family, truncation)
+    for j, (facet, s) in enumerate(zip(c.facets, bitmasks(c, c.facets)), start=1):
+        meet = {s & t for t in family}  # Q_j
+        family = family | meet | {s}  # F_j
+        cur_h = mobius_hilbert(c, family, truncation)
         free_h = free_hilbert(c.degree_multiset(facet), truncation)
-        facet_complex = _subcomplex_on_facets(c, (facet,))
-        inter_h = sr_hilbert(intersection_complex(prev, facet_complex), truncation)
+        inter_h = mobius_hilbert(c, meet, truncation)
         rows = [
             DegreeRow(d, cur_h.at(d), prev_h.at(d), free_h.at(d), inter_h.at(d))
             for d in range(0, truncation + 1, 2)
         ]
         report.steps.append(StepRecord(j, simplex_key(facet), rows))
-        prev, prev_h = current, cur_h
+        prev_h = cur_h
     return report
 
 

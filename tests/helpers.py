@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the package's fast paths: counting is done by
 plain recursion over exponents or face by face, poset elements by
-intersecting every facet subset, covering pairs by testing every triple, and
-primes by trial division.
+intersecting every facet subset, covering pairs by testing every triple, the
+pushout recurrence by rebuilding every prefix complex, and primes by trial
+division.
 """
 from __future__ import annotations
 
@@ -17,10 +18,14 @@ from srrealize import (
     ComplexWithDegrees,
     HilbertFunction,
     Simplex,
+    VertexDecl,
     all_faces,
+    free_hilbert,
     make_complex,
     simplex_key,
+    sr_hilbert,
 )
+from srrealize.verify import DegreeRow, StepRecord, VerificationReport
 
 # Property tests run a fixed example sequence, so a run is repeatable, and
 # take no timing into account, so a loaded host cannot fail them.
@@ -136,6 +141,60 @@ def brute_pmax(c: ComplexWithDegrees) -> list[Simplex]:
                 inter = inter & f
             out.add(inter)
     return sorted(out, key=simplex_key)
+
+
+def _subcomplex_on_facets(
+    parent: ComplexWithDegrees, facets: tuple[Simplex, ...]
+) -> ComplexWithDegrees:
+    used = set().union(*facets) if facets else set()
+    return ComplexWithDegrees(
+        vertices=tuple(
+            VertexDecl(v, parent.degree(v)) for v in sorted(used)
+        ),
+        facets=facets,
+    )
+
+
+def _maximalize(candidates: set[Simplex]) -> tuple[Simplex, ...]:
+    kept = [
+        s for s in candidates if s and not any(s < t for t in candidates)
+    ]
+    return tuple(sorted(kept, key=simplex_key))
+
+
+def intersection_complex(
+    c1: ComplexWithDegrees, c2: ComplexWithDegrees
+) -> ComplexWithDegrees:
+    """The complex whose faces are common to both inputs."""
+    for v in set(c1.degree_map) & set(c2.degree_map):
+        if c1.degree(v) != c2.degree(v):
+            raise ValueError(f"vertex {v!r} has conflicting degrees")
+    candidates = {f1 & f2 for f1 in c1.facets for f2 in c2.facets}
+    return _subcomplex_on_facets(c1, _maximalize(candidates))
+
+
+def prefix_recurrence_check(
+    c: ComplexWithDegrees, truncation: int
+) -> VerificationReport:
+    """The pushout recurrence with every side from sr_hilbert of a rebuilt
+    complex: the prefix complex K_j on the first j facets, and the
+    intersection complex of K_{j-1} with the new facet."""
+    report = VerificationReport(truncation)
+    prev = ComplexWithDegrees((), ())
+    prev_h = sr_hilbert(prev, truncation)
+    for j, facet in enumerate(c.facets, start=1):
+        current = _subcomplex_on_facets(c, c.facets[:j])
+        cur_h = sr_hilbert(current, truncation)
+        free_h = free_hilbert(c.degree_multiset(facet), truncation)
+        facet_complex = _subcomplex_on_facets(c, (facet,))
+        inter_h = sr_hilbert(intersection_complex(prev, facet_complex), truncation)
+        rows = [
+            DegreeRow(d, cur_h.at(d), prev_h.at(d), free_h.at(d), inter_h.at(d))
+            for d in range(0, truncation + 1, 2)
+        ]
+        report.steps.append(StepRecord(j, simplex_key(facet), rows))
+        prev, prev_h = current, cur_h
+    return report
 
 
 def naive_is_prime(n: int) -> bool:

@@ -95,6 +95,12 @@ class TestClassify:
     def test_lone_8_misses_the_table(self):
         assert classify((8,)) == Inadmissible(TableMiss())
 
+    def test_huge_degrees_miss_the_table(self):
+        # the table is bounded by the multiset's length as well as its top
+        # degree, so neither call builds families up to degree 10^12
+        assert classify((4, 10**12)) == Inadmissible(TableMiss())
+        assert classify((10**12,)) == Inadmissible(TableMiss())
+
     def test_thomas_rejections(self):
         for ms, reason in THOMAS_REJECTED.items():
             assert classify(ms) == Inadmissible(reason), ms

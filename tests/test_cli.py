@@ -1,12 +1,14 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
+import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from helpers import naive_congruence_prime
+from helpers import naive_congruence_prime, ring_double_fan
 
 RING_468 = json.dumps({
     "vertices": [
@@ -46,6 +48,22 @@ BLOCKED_PAIR = json.dumps({
     "facets": [["a", "b", "c"]],
 })
 
+# Eight degree-2 vertices, |P| = 20; the second facet meets nothing before it.
+TORUS_20 = json.dumps({
+    "vertices": [{"id": v, "degree": 2} for v in "abcdefgh"],
+    "facets": [
+        ["a", "b", "c"], ["g", "h"], ["b", "c", "d"], ["c", "d", "e"],
+        ["a", "d", "e"], ["e", "f", "g"], ["a", "f", "h"], ["b", "e", "h"],
+    ],
+})
+
+
+def complex_json(c):
+    return json.dumps({
+        "vertices": [{"id": v.id, "degree": v.degree} for v in c.vertices],
+        "facets": [sorted(f) for f in c.facets],
+    })
+
 
 def run(args, stdin="", hashseed="0"):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
@@ -84,6 +102,22 @@ class TestCheck:
             "witness": ["x6"],
             "reason": {"kind": "TableMiss"},
         }
+
+    @pytest.mark.parametrize("degree", [100000, 10**12])
+    def test_huge_degree_is_not_realizable_within_1_gb(self, degree):
+        stdin = json.dumps({
+            "vertices": [{"id": "a", "degree": 4}, {"id": "b", "degree": degree}],
+            "facets": [["a", "b"]],
+        })
+        limit = (1 << 30, 1 << 30)
+        r = subprocess.run(
+            [sys.executable, "-m", "srrealize.cli", "check"],
+            input=stdin, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        )
+        assert r.returncode == 20
+        assert "Traceback" not in r.stderr
+        assert json.loads(r.stdout)["verdict"] == "NotRealizable"
 
     def test_unknown(self):
         r = run(["check"], EXCEPTIONAL)
@@ -356,6 +390,25 @@ class TestPrime:
     def test_invalid_extra(self):
         r = run(["prime", "--extra", "9"])
         assert r.returncode == 2
+
+
+class TestVerifyGoldenBytes:
+    """sha256 of `verify` stdout at the default truncation, recorded from
+    the recurrence that rebuilt every prefix complex; any change to a
+    report byte shows here."""
+
+    @pytest.mark.parametrize("name, fmt, digest", [
+        ("double_fan", "json", "a743d0fe28c4205cf5e5e2326e61c8009ba8556eec275946970445e8b9f19a5f"),
+        ("double_fan", "text", "5fae59ea851b268e98225631707884fac4c73bfdc78d9aaefb976d70e04021ec"),
+        ("torus_20", "json", "5b24ca1283941c64c2c93ee973668e11059f7f936bb4f9f423d33422fd0cfe23"),
+        ("torus_20", "text", "ef0654c929b32968c99be71ce8e359dcaf7a76f2d3768c7d723fc1d729c3191d"),
+    ])
+    def test_stdout_digest(self, name, fmt, digest):
+        stdin = {"double_fan": complex_json(ring_double_fan()),
+                 "torus_20": TORUS_20}[name]
+        r = run(["verify", "--format", fmt], stdin)
+        assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from srrealize import (
     BSp,
@@ -16,16 +17,20 @@ from srrealize import (
     brute_oracle_hilbert,
     build_diagram,
     full_report,
-    intersection_complex,
-    kernel_dim,
     make_complex,
+    pmax,
     pushout_recurrence_check,
     sr_hilbert,
     verify_construction,
 )
+from srrealize.hilbert import bitmasks, mobius_hilbert
 
 from helpers import (
+    PROPERTY,
+    complexes,
+    intersection_complex,
     naive_sr_count,
+    prefix_recurrence_check,
     random_complex,
     ring_468,
     ring_double_fan,
@@ -66,34 +71,6 @@ class TestIntersectionComplex:
             intersection_complex(k1, k2)
 
 
-class TestKernelDim:
-    def test_worked_example_degree_12(self):
-        k1 = simplex_complex((4, 6), ("x4", "x6"))
-        k2 = simplex_complex((4, 8), ("x4", "x8"))
-        # inclusion-exclusion: 2 + 2 - 1
-        assert kernel_dim(k1, k2, 12) == 3
-        assert kernel_dim(k1, k2, 12) == sr_hilbert(ring_468(), 12).at(12)
-
-    def test_equals_union_dimension_in_general(self):
-        rng = random.Random(21)
-        for _ in range(40):
-            c = random_complex(rng)
-            if len(c.facets) < 2:
-                continue
-            k1 = c.facets[0]
-            k1c = make_complex({v: c.degree(v) for v in k1}, [k1])
-            rest = c.facets[1:]
-            used = set().union(*rest)
-            k2c = make_complex({v: c.degree(v) for v in used}, rest)
-            for d in (0, 8, 12, 20):
-                assert kernel_dim(k1c, k2c, d) == sr_hilbert(c, d).at(d)
-
-    def test_rejects_odd_degree(self):
-        k = simplex_complex((4,), ("a",))
-        with pytest.raises(ValueError):
-            kernel_dim(k, k, 7)
-
-
 class TestPushoutRecurrence:
     def test_worked_example_row(self):
         report = pushout_recurrence_check(ring_468(), 40)
@@ -115,6 +92,47 @@ class TestPushoutRecurrence:
     def test_step_count_matches_facets(self):
         report = pushout_recurrence_check(ring_double_fan(), 16)
         assert [s.index for s in report.steps] == [1, 2, 3, 4]
+
+    @PROPERTY
+    @given(complexes())
+    def test_rows_match_the_prefix_rebuilding_oracle(self, c):
+        # complexes() draws the facets in any order
+        assert pushout_recurrence_check(c, 24).steps == \
+            prefix_recurrence_check(c, 24).steps
+
+    @PROPERTY
+    @given(complexes())
+    def test_last_union_column_is_the_brute_oracle(self, c):
+        steps = pushout_recurrence_check(c, 24).steps
+        assert len(steps) == len(c.facets)
+        if steps:
+            oracle = brute_oracle_hilbert(c, 24)
+            assert [r.union_dim for r in steps[-1].rows] == [
+                oracle.at(d) for d in range(0, 25, 2)
+            ]
+
+
+def close_under_intersection(family):
+    family = set(family)
+    while True:
+        new = {a & b for a in family for b in family} - family
+        if not new:
+            return family
+        family |= new
+
+
+class TestMobiusHilbert:
+    @PROPERTY
+    @given(complexes(), st.data())
+    def test_any_covering_intersection_closed_family(self, c, data):
+        # pmax plus the empty face plus faces cut from the facets, closed
+        # under intersection: not minimal, still exact
+        facets = bitmasks(c, c.facets)
+        cuts = [f & data.draw(st.integers(0, 63)) for f in facets]
+        family = close_under_intersection(
+            {0, *bitmasks(c, pmax(c).elements), *cuts}
+        )
+        assert mobius_hilbert(c, family, 24) == sr_hilbert(c, 24)
 
 
 class TestBruteOracle:
