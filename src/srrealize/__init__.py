@@ -89,7 +89,6 @@ from .diagram import (
     emit_json,
     expected_block_maps,
     label_degree_multiset,
-    label_edge,
     label_node,
     node_name,
 )

@@ -35,7 +35,6 @@ from .complexes import ComplexError, ComplexWithDegrees, complex_from_json, pmax
 from .decide import (
     HypothesisViolated,
     NotRealizable,
-    Partition,
     Realizable,
     SufficientOnly,
     Unknown,
@@ -171,12 +170,14 @@ def _default_truncation(c: ComplexWithDegrees) -> int:
     return 6 * top
 
 
-def _verdict_partition(v: Verdict) -> Partition | None:
-    if isinstance(v, Realizable):
-        return v.partition
-    if isinstance(v, SufficientOnly):
-        return v.partition
-    return None
+def _diagram_or_exit_code(c: ComplexWithDegrees) -> ColimitDiagram | int:
+    """The diagram over full_report's partition, or, when the verdict has
+    none, the verdict's exit code after saying so on stderr."""
+    verdict = full_report(c)
+    if isinstance(verdict, (Realizable, SufficientOnly)):
+        return build_diagram(c, verdict.partition)
+    sys.stderr.write(f"no diagram: verdict is {verdict_to_json(verdict)['verdict']}\n")
+    return verdict_exit(verdict)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -201,15 +202,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    c = complex_from_json(_read_input(args.input))
-    verdict = full_report(c)
-    partition = _verdict_partition(verdict)
-    if partition is None:
-        sys.stderr.write(
-            f"no diagram: verdict is {verdict_to_json(verdict)['verdict']}\n"
-        )
-        return verdict_exit(verdict)
-    diagram = build_diagram(c, partition)
+    diagram = _diagram_or_exit_code(complex_from_json(_read_input(args.input)))
+    if isinstance(diagram, int):
+        return diagram
     out = emit_dot(diagram) if args.format == "dot" else emit_json(diagram)
     _write_output(out, args.output)
     return 0
@@ -221,19 +216,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if truncation is None:
         truncation = _default_truncation(c)
     check_truncation(truncation)
-    diagram: ColimitDiagram
     if args.diagram is not None:
         with open(args.diagram, "r", encoding="utf-8") as fh:
             diagram = diagram_from_json(fh.read())
     else:
-        verdict = full_report(c)
-        partition = _verdict_partition(verdict)
-        if partition is None:
-            sys.stderr.write(
-                f"no diagram: verdict is {verdict_to_json(verdict)['verdict']}\n"
-            )
-            return verdict_exit(verdict)
-        diagram = build_diagram(c, partition)
+        diagram = _diagram_or_exit_code(c)
+        if isinstance(diagram, int):
+            return diagram
     report = verify_construction(c, diagram, truncation)
     if args.format == "json":
         out = json.dumps(report.to_json_dict(), indent=2) + "\n"

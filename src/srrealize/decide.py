@@ -10,7 +10,8 @@ When that hypothesis fails the engine falls back to two one-sided tools:
 a vertex partition certifying realizability block by block (sufficient), and
 a necessary condition requiring every poset element to classify into one of
 the four admissible families (valid whenever no two degree-4 generators share
-a face).  full_report combines the three into a single verdict.
+a face).  full_report runs them only when the hypothesis fails; under it,
+decide_main's verdict is final and the tools would only repeat it.
 """
 from __future__ import annotations
 
@@ -214,24 +215,27 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
 
 
 def full_report(c: ComplexWithDegrees) -> Verdict:
-    """Combine the complete decision, the partition search, and the
-    necessary condition into one verdict.
+    """decide_main's verdict, or, when the main hypothesis fails, the best
+    the partition search and the necessary condition can say.
 
-    Unknown is only reachable when the main hypothesis fails: otherwise the
-    decision is complete and one of the other verdicts applies.
+    Under the hypothesis a refutation is final.  If element s is not
+    constructible, a partition must split its vertices of degree > 2 over
+    two or more blocks (degree-2 vertices never decide a class), and each
+    such block meets s in an SU or Sp chain holding a degree-4 vertex: two
+    on the face s, against the hypothesis.  Exceptional cannot occur under
+    it, so necessary_condition names decide_main's witness and reason.
+    Unknown is only reachable when the hypothesis fails.
     """
     verdict = decide_main(c)
-    if isinstance(verdict, Realizable):
+    if not isinstance(verdict, HypothesisViolated):
         return verdict
     part = find_partition(c)
     if part is not None:
         return SufficientOnly(part)
     try:
         witness = necessary_condition(c)
-    except HypothesisViolatedError as e:
-        if isinstance(verdict, HypothesisViolated):
-            return verdict
-        return HypothesisViolated(e.pair, 4)
+    except HypothesisViolatedError:
+        return verdict
     if witness is not None:
         cls = classify(c.degree_multiset(witness))
         assert isinstance(cls, Inadmissible)

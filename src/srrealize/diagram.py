@@ -195,14 +195,20 @@ def label_node(
     return tuple(out)
 
 
+def lie_degrees(f: FactorLabel) -> range:
+    """Ascending degrees of the generators of a factor's Lie part."""
+    if isinstance(f, BSp):
+        return range(4, 4 * f.n + 1, 4)
+    if isinstance(f, BSU):
+        return range(4, 2 * f.n + 1, 2)
+    return range(0)
+
+
 def label_degree_multiset(blocks: SpaceLabel) -> DegreeMultiset:
     """Generator degrees of the free cohomology ring a label stands for."""
     degs: list[int] = []
     for bl in blocks:
-        if isinstance(bl.factor, BSp):
-            degs.extend(range(4, 4 * bl.factor.n + 1, 4))
-        elif isinstance(bl.factor, BSU):
-            degs.extend(range(4, 2 * bl.factor.n + 1, 2))
+        degs.extend(lie_degrees(bl.factor))
         degs.extend([2] * len(bl.cp_vertices))
     return tuple(sorted(degs))
 
@@ -258,29 +264,22 @@ def expected_block_maps(src: SpaceLabel, tgt: SpaceLabel) -> tuple[BlockMap, ...
     return tuple(_block_map(bs, bt) for bs, bt in zip(src, tgt))
 
 
-def label_edge(
-    c: ComplexWithDegrees, s: Simplex, t: Simplex, partition: Partition
-) -> EdgeLabel:
-    if not s < t:
-        raise ValueError("edge source must be a proper subset of the target")
-    maps = expected_block_maps(
-        label_node(c, s, partition), label_node(c, t, partition)
-    )
-    gens = tuple((v, v if v in s else None) for v in sorted(t))
-    return EdgeLabel(simplex_key(s), simplex_key(t), maps, gens)
-
-
 def build_diagram(c: ComplexWithDegrees, partition: Partition) -> ColimitDiagram:
     """Nodes for every facet-intersection poset element, edges for covering
-    relations, all in canonical order."""
+    relations, all in canonical order; each element is labelled once."""
     check_partition(c, partition)
     poset = pmax(c)
+    labels = {s: label_node(c, s, partition) for s in poset.elements}
     nodes = tuple(
-        DiagramNode(node_name(s), simplex_key(s), label_node(c, s, partition))
-        for s in poset.elements
+        DiagramNode(node_name(s), simplex_key(s), labels[s]) for s in poset.elements
     )
     edges = tuple(
-        DiagramEdge(node_name(s), node_name(t), label_edge(c, s, t, partition))
+        DiagramEdge(node_name(s), node_name(t), EdgeLabel(
+            simplex_key(s),
+            simplex_key(t),
+            expected_block_maps(labels[s], labels[t]),
+            tuple((v, v if v in s else None) for v in simplex_key(t)),
+        ))
         for s, t in poset.covers()
     )
     return ColimitDiagram(partition, nodes, edges)

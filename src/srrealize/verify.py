@@ -31,9 +31,13 @@ from dataclasses import dataclass, field
 from .complexes import ComplexWithDegrees, pmax, simplex_key
 from .diagram import (
     ColimitDiagram,
+    CPInfPower,
+    DiagramNode,
     NoCanonicalMap,
+    Point,
     expected_block_maps,
     label_degree_multiset,
+    lie_degrees,
     node_name,
 )
 from .hilbert import (
@@ -236,12 +240,48 @@ def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunct
     return HilbertFunction(truncation, dims)
 
 
+def _binding_issues(
+    c: ComplexWithDegrees, node: DiagramNode, blocks: tuple[tuple[str, ...], ...]
+) -> list[str]:
+    """Factor i of a node must stand for partition block i met with the
+    node's simplex: its cp_vertices are the meet's degree-2 vertices in id
+    order, a CP^inf^k factor has k >= 1 of them and a point none, and its
+    lie_vertices are the rest of the meet in ascending degree, carrying
+    exactly the degrees of the factor's Lie generators.  The facts are
+    spelled out here rather than recomputed by label_node, so a fault there
+    cannot vouch for itself."""
+    if len(node.blocks) != len(blocks):
+        return [f"node {node.name} has {len(node.blocks)} factors for "
+                f"{len(blocks)} partition blocks"]
+    simplex = frozenset(node.simplex)
+    issues = []
+    for i, (bl, block) in enumerate(zip(node.blocks, blocks)):
+        meet = [v for v in block if v in simplex]
+        cp = sorted(v for v in meet if c.degree(v) == 2)
+        rest = sorted(v for v in meet if c.degree(v) != 2)
+        f, gens = bl.factor, lie_degrees(bl.factor)
+        if (
+            bl.block != i
+            or list(bl.cp_vertices) != cp
+            or isinstance(f, Point) and cp
+            or isinstance(f, CPInfPower) and not 0 < f.k == len(cp)
+            or sorted(bl.lie_vertices) != rest
+            or len(gens) != len(rest)
+            or any(c.degree(v) != d for v, d in zip(bl.lie_vertices, gens))
+        ):
+            issues.append(f"node {node.name} factor {i} does not bind the "
+                          f"generators of partition block {i}")
+    return issues
+
+
 def verify_construction(
     c: ComplexWithDegrees, diagram: ColimitDiagram, truncation: int
 ) -> VerificationReport:
-    """Full verification: (a) node labels carry the free cohomology of their
-    simplices, (b) edge maps restrict to the Stanley-Reisner projections on
-    generators, (c) the gluing recurrence holds up to the truncation."""
+    """Full verification: (a) node labels bind each generator to the vertex
+    of the right block (_binding_issues) and carry the free cohomology of
+    their simplices, (b) edge maps restrict to the Stanley-Reisner
+    projections on generators, (c) the gluing recurrence holds up to the
+    truncation."""
     report = VerificationReport(truncation)
     poset = pmax(c)
     expected_names = [node_name(s) for s in poset.elements]
@@ -269,6 +309,9 @@ def verify_construction(
         if not c.is_face(simplex):
             report.structure_issues.append(f"node {node.name} is not a face")
             continue
+        report.structure_issues.extend(
+            _binding_issues(c, node, diagram.partition.blocks)
+        )
         want = free_hilbert(c.degree_multiset(simplex), truncation)
         have = free_hilbert(label_degree_multiset(node.blocks), truncation)
         check = NodeCheck(node.name, True)

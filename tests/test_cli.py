@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from helpers import naive_congruence_prime, ring_double_fan
+from srrealize.cli import main as cli_main
 
 RING_468 = json.dumps({
     "vertices": [
@@ -55,6 +56,23 @@ TORUS_20 = json.dumps({
         ["a", "b", "c"], ["g", "h"], ["b", "c", "d"], ["c", "d", "e"],
         ["a", "d", "e"], ["e", "f", "g"], ["a", "f", "h"], ["b", "e", "h"],
     ],
+})
+
+
+# Degree-2 vertices beside a symplectic generator in one block.
+TORUS_AND_SP = json.dumps({
+    "vertices": [
+        {"id": "t", "degree": 2}, {"id": "u", "degree": 2}, {"id": "x4", "degree": 4},
+    ],
+    "facets": [["t", "u", "x4"]],
+})
+
+# A CP^inf^2 node, a CP^inf node and a BSp(1) x CP^inf node.
+TORUS_BESIDE_SP = json.dumps({
+    "vertices": [
+        {"id": "t", "degree": 2}, {"id": "u", "degree": 2}, {"id": "a", "degree": 4},
+    ],
+    "facets": [["t", "u"], ["u", "a"]],
 })
 
 
@@ -316,6 +334,86 @@ class TestInputHardening:
         assert "exceeds the cap of 10000" in r.stderr
 
 
+def _binding_mutations(obj):
+    """(label, diagram) for every diagram that differs from obj in one
+    binding field of one node factor: its block index, a vertex of
+    cp_vertices or lie_vertices swapped for another id (a nonexistent one
+    too), dropped, repeated or added, the list reversed, or the torus rank
+    of a CP^inf or point factor."""
+    ids = sorted({v for block in obj["partition"] for v in block}) + ["nope"]
+    for n, node in enumerate(obj["nodes"]):
+        for f, factor in enumerate(node["factors"]):
+            where = f"{node['name']} factor {f}"
+            changes = [("block", factor["block"] + 1)]
+            for key in ("cp_vertices", "lie_vertices"):
+                value = factor[key]
+                values = [value[::-1]] + [value + [w] for w in ids]
+                for j in range(len(value)):
+                    values.append(value[:j] + value[j + 1:])
+                    values.append(value + [value[j]])
+                    values += [value[:j] + [w] + value[j + 1:] for w in ids]
+                changes += [(key, v) for v in values]
+            if factor["factor"]["kind"] in ("CP", "point"):
+                k = len(factor["cp_vertices"])
+                changes += [("factor", {"kind": "point"})] + [
+                    ("factor", {"kind": "CP", "k": j}) for j in (k - 1, k + 1) if j >= 0
+                ]
+            for key, value in changes:
+                if value == factor[key]:
+                    continue
+                mutated = json.loads(json.dumps(obj))
+                mutated["nodes"][n]["factors"][f][key] = value
+                yield f"{where} {key}={value}", mutated
+
+
+class TestBindingMutations:
+    """verify checks which vertex every generator is bound to: each
+    single-field corruption of a binding exits 1."""
+
+    @pytest.mark.parametrize("name", [
+        "RING_468", "PAIR_44", "double_fan", "TORUS_AND_SP", "TORUS_BESIDE_SP",
+    ])
+    def test_every_binding_mutation_fails(self, name, tmp_path):
+        text = {
+            "RING_468": RING_468, "PAIR_44": PAIR_44,
+            "double_fan": complex_json(ring_double_fan()),
+            "TORUS_AND_SP": TORUS_AND_SP, "TORUS_BESIDE_SP": TORUS_BESIDE_SP,
+        }[name]
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        report_path = str(tmp_path / "report.json")
+        complex_path.write_text(text)
+        assert cli_main(["construct", str(complex_path), "-o", str(diagram_path)]) == 0
+        verify = ["verify", str(complex_path), "--diagram", str(diagram_path),
+                  "-o", report_path]
+        assert cli_main(verify) == 0
+        original = json.loads(diagram_path.read_text())
+        passed, count = [], 0
+        for label, mutated in _binding_mutations(original):
+            diagram_path.write_text(json.dumps(mutated))
+            count += 1
+            if cli_main(verify) != 1:
+                passed.append(label)
+        assert count >= 10
+        assert passed == []
+
+    def test_named_cp_bindings_fail(self, tmp_path):
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        complex_path.write_text(TORUS_AND_SP)
+        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
+        obj = json.loads(diagram_path.read_text())
+        assert obj["nodes"][0]["factors"][0]["cp_vertices"] == ["t", "u"]
+        for cp in (["t", "zz"], ["u", "t"], ["t", "t"]):
+            obj["nodes"][0]["factors"][0]["cp_vertices"] = cp
+            diagram_path.write_text(json.dumps(obj))
+            r = run(["verify", str(complex_path), "--diagram", str(diagram_path)])
+            assert r.returncode == 1, cp
+            report = json.loads(r.stdout)
+            assert report["first_discrepancy"] == (
+                "node sigma_t_u_x4 factor 0 does not bind the generators of "
+                "partition block 0"
+            )
+
+
 class TestPartition:
     def test_found(self):
         r = run(["partition", "--format", "text"], PAIR_44)
@@ -408,6 +506,76 @@ class TestVerifyGoldenBytes:
                  "torus_20": TORUS_20}[name]
         r = run(["verify", "--format", fmt], stdin)
         assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+class TestCheckConstructGoldenBytes:
+    """sha256 of stdout, the stderr text and the exit code of `check` and
+    `construct` (and of `verify` where no diagram is built), recorded while
+    full_report still ran the partition search after every refutation and
+    build_diagram still relabelled both ends of every edge."""
+
+    EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+    @pytest.mark.parametrize("cmd, name, fmt, code, stderr, digest", [
+        ("check", "RING_468", "json", 0, "",
+         "d989bc4fc35aa82cac86544cf22759b6da16ca145a485559aeaab1f1de5f778a"),
+        ("check", "RING_468", "text", 0, "",
+         "c02d68d490ae6e425a5f39d61835acf47f558bbc9c586de2bee2c62a6fcba09a"),
+        ("check", "SPLIT_46", "json", 20, "",
+         "cf9e0178d864e3fcfc46072adfbcbb02f894d000b237bb0971b8b0b5ee18e3bc"),
+        ("check", "SPLIT_46", "text", 20, "",
+         "948d70932323828213ac80186f0234b80ba8291b1a48fbd62c205b44764c7a35"),
+        ("check", "PAIR_44", "json", 10, "",
+         "1dd80eab3a8f4ce5e2977ba67f8b85e5fecfeaa8729b04fd0d171bb223aa761e"),
+        ("check", "PAIR_44", "text", 10, "",
+         "25f79a333f204e55ef6b036dfb5fc4039911b14835ae95bc7154204e86c04159"),
+        ("check", "EXCEPTIONAL", "json", 30, "",
+         "11ec94c36d2230302aa3c812e21f6b863c3a34d5c6a02b845ce0991747365e42"),
+        ("check", "EXCEPTIONAL", "text", 30, "",
+         "c80c3db2b2cb606bacf75bac6c2e4b9221e58958b5c800a6b0031b726c3f4bc1"),
+        ("check", "BLOCKED_PAIR", "json", 40, "",
+         "3f5299ae2e15c35491ace65340bff9affba04ab37c92b69db93692b76dc1a691"),
+        ("check", "BLOCKED_PAIR", "text", 40, "",
+         "f997c9d748233a6d1b427b09f21aefb3142591bea251cea1caf37faaf5dee64e"),
+        ("construct", "RING_468", "json", 0, "",
+         "b1b0e96bc2544313e42f23fd9fa187799d92b20c4568121f707da1e1aa07415d"),
+        ("construct", "RING_468", "dot", 0, "",
+         "7e38fcfbb4e53daacd46adbcf0bd0601fada803e7cbb2b4a6dbfd1154aca8eae"),
+        ("construct", "PAIR_44", "json", 0, "",
+         "9ea3ab6e28e1025fcd835f023b7c4995510be9ebb47ff0fadb482e6f473159f0"),
+        ("construct", "PAIR_44", "dot", 0, "",
+         "db9a39b27b7839b6e5212a0d2a8efb55e847debbe5a03f0ea514d25e2a7ca2d3"),
+        ("construct", "double_fan", "json", 0, "",
+         "45278d52ea864a9db92f58ee543c7ae68ba797064d8a89bd7fa2d94dc2fe7b39"),
+        ("construct", "double_fan", "dot", 0, "",
+         "f799c90b8685656b55eab2c54e24080dc1508a244446fb8e213bacec571fdfee"),
+        ("construct", "TORUS_20", "json", 0, "",
+         "afcba2cd657f3d799eaa79eefda17924baa517ce6e0627f248bd2db4ef2168b2"),
+        ("construct", "TORUS_20", "dot", 0, "",
+         "3d85c9a29c8cfab11ef7fa533e1ca730bca22ba79f339703a9958b80c1eae7ee"),
+        ("construct", "SPLIT_46", "json", 20,
+         "no diagram: verdict is NotRealizable\n", EMPTY),
+        ("construct", "EXCEPTIONAL", "json", 30,
+         "no diagram: verdict is Unknown\n", EMPTY),
+        ("construct", "BLOCKED_PAIR", "json", 40,
+         "no diagram: verdict is HypothesisViolated\n", EMPTY),
+        ("verify", "SPLIT_46", "json", 20,
+         "no diagram: verdict is NotRealizable\n", EMPTY),
+        ("verify", "EXCEPTIONAL", "json", 30,
+         "no diagram: verdict is Unknown\n", EMPTY),
+        ("verify", "BLOCKED_PAIR", "json", 40,
+         "no diagram: verdict is HypothesisViolated\n", EMPTY),
+    ])
+    def test_stdout_stderr_and_exit(self, cmd, name, fmt, code, stderr, digest):
+        stdin = {
+            "RING_468": RING_468, "SPLIT_46": SPLIT_46, "PAIR_44": PAIR_44,
+            "EXCEPTIONAL": EXCEPTIONAL, "BLOCKED_PAIR": BLOCKED_PAIR,
+            "TORUS_20": TORUS_20, "double_fan": complex_json(ring_double_fan()),
+        }[name]
+        r = run([cmd, "--format", fmt], stdin)
+        assert r.returncode == code
+        assert r.stderr == stderr
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 

@@ -212,6 +212,22 @@ class TestFullReport:
             if check_main_hypothesis(c) is None:
                 assert not isinstance(full_report(c), Unknown)
 
+    def test_refutation_under_the_hypothesis_is_final(self):
+        # full_report trusts decide_main whenever the hypothesis holds: no
+        # partition rescues a refuted complex, and the necessary condition
+        # names the same witness
+        rng = random.Random(13)
+        refuted = 0
+        for _ in range(300):
+            c = random_complex(rng)
+            verdict = decide_main(c)
+            if check_main_hypothesis(c) is None and isinstance(verdict, NotRealizable):
+                refuted += 1
+                assert find_partition(c) is None, c
+                assert necessary_condition(c) == verdict.witness, c
+                assert full_report(c) == verdict
+        assert refuted >= 100  # the generator must exercise the refuted path
+
     def test_verdict_invariant_under_facet_order(self):
         rng = random.Random(11)
         for _ in range(80):

@@ -28,7 +28,6 @@ from srrealize import (
     expected_block_maps,
     full_report,
     label_degree_multiset,
-    label_edge,
     label_node,
     make_complex,
     node_name,
@@ -213,26 +212,15 @@ class TestBlockMaps:
             expected_block_maps((bs,), (bt,))
 
 
-class TestLabelEdge:
-    def test_generator_map_is_the_projection(self):
+class TestBuildDiagram:
+    def test_first_edge_maps_and_generator_map(self):
         c = ring_468()
-        e = label_edge(
-            c, frozenset({"x4"}), frozenset({"x4", "x6"}), single_block(c)
-        )
+        e = build_diagram(c, single_block(c)).edges[0].label
         assert e.source == ("x4",)
         assert e.target == ("x4", "x6")
         assert e.maps == (BlockMap(0, Iota1Power(1, True), None),)
         assert e.generator_map == (("x4", "x4"), ("x6", None))
 
-    def test_requires_proper_inclusion(self):
-        c = ring_468()
-        with pytest.raises(ValueError):
-            label_edge(c, frozenset({"x4"}), frozenset({"x4"}), single_block(c))
-        with pytest.raises(ValueError):
-            label_edge(c, frozenset({"x4", "x6"}), frozenset({"x4"}), single_block(c))
-
-
-class TestBuildDiagram:
     def test_worked_example_exactly(self):
         d = diagram_for(ring_468())
         assert [n.name for n in d.nodes] == ["sigma_x4", "sigma_x4_x6", "sigma_x4_x8"]
