@@ -88,7 +88,6 @@ from .diagram import (
     emit_dot,
     emit_json,
     expected_block_maps,
-    label_degree_multiset,
     label_node,
     node_name,
 )
@@ -99,7 +98,6 @@ from .hilbert import (
 )
 from .verify import (
     VerificationReport,
-    brute_oracle_hilbert,
     pushout_recurrence_check,
     verify_construction,
 )

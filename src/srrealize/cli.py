@@ -31,7 +31,7 @@ from .admissible import (
     class_degrees,
     dirichlet_prime,
 )
-from .complexes import ComplexError, ComplexWithDegrees, complex_from_json, pmax
+from .complexes import ComplexError, ComplexWithDegrees, complex_from_json
 from .decide import (
     HypothesisViolated,
     NotRealizable,
@@ -250,7 +250,7 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
     c = complex_from_json(_read_input(args.input))
     entries = []
-    for s in pmax(c).elements:
+    for s in c.poset.elements:
         ms = c.degree_multiset(s)
         entries.append((sorted(s), ms, classify(ms)))
     if args.format == "json":

@@ -83,6 +83,11 @@ class ComplexWithDegrees:
     def sorted_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.degree_map))
 
+    @cached_property
+    def poset(self) -> MaxIntersectionPoset:
+        """The facet-intersection poset, built once per complex."""
+        return pmax(self)
+
     def degree(self, vertex: str) -> int:
         try:
             return self.degree_map[vertex]

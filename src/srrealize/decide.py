@@ -25,7 +25,7 @@ from .admissible import (
     ObstructionReason,
     classify,
 )
-from .complexes import ComplexWithDegrees, Simplex, pmax
+from .complexes import ComplexWithDegrees, Simplex
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def decide_main(c: ComplexWithDegrees) -> Verdict:
         x, y, i = hit
         return HypothesisViolated((x, y), 2 ** i)
     per: list[tuple[Simplex, AdmissibleClass]] = []
-    for s in pmax(c).elements:
+    for s in c.poset.elements:
         cls = classify(c.degree_multiset(s))
         if isinstance(cls, CONSTRUCTIBLE):
             per.append((s, cls))
@@ -129,7 +129,7 @@ def necessary_condition(c: ComplexWithDegrees) -> Simplex | None:
         for b in range(a + 1, len(four)):
             if c.is_face({four[a], four[b]}):
                 raise HypothesisViolatedError((four[a], four[b]))
-    for s in pmax(c).elements:
+    for s in c.poset.elements:
         if isinstance(classify(c.degree_multiset(s)), Inadmissible):
             return s
     return None
@@ -148,7 +148,7 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     """
     ids2 = tuple(v for v in c.sorted_ids if c.degree(v) == 2)
     ids4 = tuple(v for v in c.sorted_ids if c.degree(v) >= 4)
-    elements = pmax(c).elements
+    elements = c.poset.elements
 
     idx_of = {v: k for k, v in enumerate(ids4)}
     twos_in = {s: sum(1 for v in s if c.degree(v) == 2) for s in elements}

@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from .admissible import AdmissibleClass, SpType, SUType, Torus, classify
 from .complexes import (
     ComplexWithDegrees,
-    DegreeMultiset,
     MalformedInput,
     Simplex,
-    pmax,
     simplex_key,
 )
 from .decide import Partition
@@ -204,15 +202,6 @@ def lie_degrees(f: FactorLabel) -> range:
     return range(0)
 
 
-def label_degree_multiset(blocks: SpaceLabel) -> DegreeMultiset:
-    """Generator degrees of the free cohomology ring a label stands for."""
-    degs: list[int] = []
-    for bl in blocks:
-        degs.extend(lie_degrees(bl.factor))
-        degs.extend([2] * len(bl.cp_vertices))
-    return tuple(sorted(degs))
-
-
 def _lie_rank(f: FactorLabel) -> tuple[str, int]:
     if isinstance(f, BSp):
         return "Sp", f.n
@@ -268,7 +257,7 @@ def build_diagram(c: ComplexWithDegrees, partition: Partition) -> ColimitDiagram
     """Nodes for every facet-intersection poset element, edges for covering
     relations, all in canonical order; each element is labelled once."""
     check_partition(c, partition)
-    poset = pmax(c)
+    poset = c.poset
     labels = {s: label_node(c, s, partition) for s in poset.elements}
     nodes = tuple(
         DiagramNode(node_name(s), simplex_key(s), labels[s]) for s in poset.elements

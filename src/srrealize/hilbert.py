@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import ComplexWithDegrees, DegreeMultiset, Simplex, pmax
+from .complexes import ComplexWithDegrees, DegreeMultiset, Simplex
 
 MAX_TRUNCATION = 10_000
 
@@ -45,12 +45,6 @@ class HilbertFunction:
         if d < 0 or d > self.truncation:
             raise ValueError(f"degree {d} outside truncation 0..{self.truncation}")
         return self.dims.get(d, 0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "D": self.truncation,
-            "dims": {str(d): self.dims[d] for d in sorted(self.dims)},
-        }
 
 
 def check_truncation(d: int) -> None:
@@ -129,5 +123,5 @@ def sr_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
     """Hilbert function of the Stanley-Reisner ring, by Moebius inversion
     over the facet-intersection poset plus the empty face (so a complex
     without facets is the point)."""
-    family = {0, *bitmasks(c, pmax(c).elements)}
+    family = {0, *bitmasks(c, c.poset.elements)}
     return mobius_hilbert(c, family, truncation)

@@ -19,34 +19,25 @@ Moebius sums.  verify_construction couples it with two per-diagram checks:
 every node label has the free cohomology of its simplex (equal Hilbert
 functions up to the truncation), and every edge's induced generator map is
 the Stanley-Reisner projection.
-
-brute_oracle_hilbert recounts dimensions by direct enumeration of exponent
-vectors; it shares no counting code with sr_hilbert and exists to
-cross-check it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
-from .complexes import ComplexWithDegrees, pmax, simplex_key
+from .complexes import ComplexWithDegrees, DegreeMultiset, simplex_key
 from .diagram import (
     ColimitDiagram,
     CPInfPower,
     DiagramNode,
     NoCanonicalMap,
     Point,
+    SpaceLabel,
     expected_block_maps,
-    label_degree_multiset,
     lie_degrees,
     node_name,
 )
-from .hilbert import (
-    HilbertFunction,
-    bitmasks,
-    check_truncation,
-    free_hilbert,
-    mobius_hilbert,
-)
+from .hilbert import bitmasks, free_hilbert, mobius_hilbert
 
 
 @dataclass
@@ -210,36 +201,6 @@ def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> Verifica
     return report
 
 
-def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
-    """Count basis monomials by enumerating exponent vectors directly,
-    pruning branches whose support already fails to be a face.  This is the
-    slow cross-check for sr_hilbert."""
-    check_truncation(truncation)
-    ids = sorted(c.sorted_ids, key=lambda v: -c.degree(v))
-    degs = [c.degree(v) for v in ids]
-    facets = c.facets
-    dims = {d: 0 for d in range(0, truncation + 1, 2)}
-
-    def is_face(support: frozenset[str]) -> bool:
-        return not support or any(support <= f for f in facets)
-
-    def walk(idx: int, total: int, support: frozenset[str]) -> None:
-        if idx == len(ids):
-            dims[total] += 1
-            return
-        walk(idx + 1, total, support)
-        bumped = support | {ids[idx]}
-        if not is_face(bumped):
-            return
-        step = degs[idx]
-        t = total + step
-        while t <= truncation:
-            walk(idx + 1, t, bumped)
-            t += step
-    walk(0, 0, frozenset())
-    return HilbertFunction(truncation, dims)
-
-
 def _binding_issues(
     c: ComplexWithDegrees, node: DiagramNode, blocks: tuple[tuple[str, ...], ...]
 ) -> list[str]:
@@ -266,12 +227,23 @@ def _binding_issues(
             or isinstance(f, Point) and cp
             or isinstance(f, CPInfPower) and not 0 < f.k == len(cp)
             or sorted(bl.lie_vertices) != rest
-            or len(gens) != len(rest)
-            or any(c.degree(v) != d for v, d in zip(bl.lie_vertices, gens))
+            or list(gens[:len(rest) + 1]) != [c.degree(v) for v in bl.lie_vertices]
         ):
             issues.append(f"node {node.name} factor {i} does not bind the "
                           f"generators of partition block {i}")
     return issues
+
+
+def _label_degrees(blocks: SpaceLabel, truncation: int) -> DegreeMultiset:
+    """The generator degrees of a label's free cohomology ring up to the
+    truncation.  Larger degrees cannot change its Hilbert function up to
+    the truncation, and leaving them out bounds the list however large a
+    factor's rank is."""
+    degs: list[int] = []
+    for bl in blocks:
+        degs.extend(takewhile(lambda d: d <= truncation, lie_degrees(bl.factor)))
+        degs.extend([2] * len(bl.cp_vertices))
+    return tuple(sorted(degs))
 
 
 def verify_construction(
@@ -283,17 +255,20 @@ def verify_construction(
     projections on generators, (c) the gluing recurrence holds up to the
     truncation."""
     report = VerificationReport(truncation)
-    poset = pmax(c)
-    expected_names = [node_name(s) for s in poset.elements]
-    got_names = [n.name for n in diagram.nodes]
-    if got_names != expected_names:
+    poset = c.poset
+    expected_nodes = [(node_name(s), simplex_key(s)) for s in poset.elements]
+    got_nodes = [(n.name, n.simplex) for n in diagram.nodes]
+    if got_nodes != expected_nodes:
         report.structure_issues.append(
-            f"diagram nodes {got_names} do not match the poset {expected_names}"
+            f"diagram nodes {got_nodes} do not match the poset {expected_nodes}"
         )
     expected_edges = [
-        (node_name(s), node_name(t)) for s, t in poset.covers()
+        (node_name(s), node_name(t), simplex_key(s), simplex_key(t))
+        for s, t in poset.covers()
     ]
-    got_edges = [(e.source, e.target) for e in diagram.edges]
+    got_edges = [
+        (e.source, e.target, e.label.source, e.label.target) for e in diagram.edges
+    ]
     if got_edges != expected_edges:
         report.structure_issues.append(
             f"diagram edges {got_edges} do not match covering pairs {expected_edges}"
@@ -313,7 +288,7 @@ def verify_construction(
             _binding_issues(c, node, diagram.partition.blocks)
         )
         want = free_hilbert(c.degree_multiset(simplex), truncation)
-        have = free_hilbert(label_degree_multiset(node.blocks), truncation)
+        have = free_hilbert(_label_degrees(node.blocks, truncation), truncation)
         check = NodeCheck(node.name, True)
         for d in range(0, truncation + 1, 2):
             if want.at(d) != have.at(d):

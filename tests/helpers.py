@@ -25,6 +25,7 @@ from srrealize import (
     simplex_key,
     sr_hilbert,
 )
+from srrealize.hilbert import check_truncation
 from srrealize.verify import DegreeRow, StepRecord, VerificationReport
 
 # Property tests run a fixed example sequence, so a run is repeatable, and
@@ -116,6 +117,36 @@ def face_sum_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
                 ways[d] += ways[d - deg]
         for off in range(0, truncation - base + 1, 2):
             dims[base + off] += ways[off]
+    return HilbertFunction(truncation, dims)
+
+
+def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
+    """Count basis monomials by enumerating exponent vectors directly,
+    pruning branches whose support already fails to be a face.  It shares
+    no counting code with sr_hilbert and exists to cross-check it."""
+    check_truncation(truncation)
+    ids = sorted(c.sorted_ids, key=lambda v: -c.degree(v))
+    degs = [c.degree(v) for v in ids]
+    facets = c.facets
+    dims = {d: 0 for d in range(0, truncation + 1, 2)}
+
+    def is_face(support: frozenset[str]) -> bool:
+        return not support or any(support <= f for f in facets)
+
+    def walk(idx: int, total: int, support: frozenset[str]) -> None:
+        if idx == len(ids):
+            dims[total] += 1
+            return
+        walk(idx + 1, total, support)
+        bumped = support | {ids[idx]}
+        if not is_face(bumped):
+            return
+        step = degs[idx]
+        t = total + step
+        while t <= truncation:
+            walk(idx + 1, t, bumped)
+            t += step
+    walk(0, 0, frozenset())
     return HilbertFunction(truncation, dims)
 
 

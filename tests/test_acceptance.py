@@ -37,11 +37,11 @@ from srrealize import (
     su_degrees,
     verify_construction,
 )
-from srrealize.verify import brute_oracle_hilbert
 from srrealize.diagram import edge_text, node_text
 
 from helpers import (
     antichain_complexes_24,
+    brute_oracle_hilbert,
     naive_congruence_prime,
     random_complex,
     ring_468,

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from helpers import naive_congruence_prime, ring_double_fan
+from srrealize import complexes
 from srrealize.cli import main as cli_main
 
 RING_468 = json.dumps({
@@ -258,6 +259,25 @@ class TestVerify:
         assert report["passed"] is False
         assert "sigma_x4_x8" in report["first_discrepancy"]
 
+    @pytest.mark.parametrize("kind", ["BSp", "BSU"])
+    @pytest.mark.parametrize("rank", [10**9, 10**30])
+    def test_huge_factor_rank_is_a_discrepancy_within_1_gb(self, kind, rank, tmp_path):
+        obj = json.loads(run(["construct"], RING_468).stdout)
+        for node in obj["nodes"]:
+            if node["name"] == "sigma_x4_x8":
+                node["factors"][0]["factor"] = {"kind": kind, "n": rank}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        limit = (1 << 30, 1 << 30)
+        r = subprocess.run(
+            [sys.executable, "-m", "srrealize.cli", "verify", "--diagram", str(path)],
+            input=RING_468, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        )
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert "sigma_x4_x8" in json.loads(r.stdout)["first_discrepancy"]
+
     def test_external_diagram_unmutated_passes(self, tmp_path):
         built = run(["construct"], RING_468)
         path = tmp_path / "d.json"
@@ -334,25 +354,34 @@ class TestInputHardening:
         assert "exceeds the cap of 10000" in r.stderr
 
 
+def _vertex_ids(obj):
+    return sorted({v for block in obj["partition"] for v in block}) + ["nope"]
+
+
+def _id_list_mutations(value, ids):
+    """value, a list of vertex ids, reversed, with an id added, or with one
+    entry dropped, repeated or swapped for another id."""
+    values = [value[::-1]] + [value + [w] for w in ids]
+    for j in range(len(value)):
+        values.append(value[:j] + value[j + 1:])
+        values.append(value + [value[j]])
+        values += [value[:j] + [w] + value[j + 1:] for w in ids]
+    return values
+
+
 def _binding_mutations(obj):
     """(label, diagram) for every diagram that differs from obj in one
     binding field of one node factor: its block index, a vertex of
     cp_vertices or lie_vertices swapped for another id (a nonexistent one
     too), dropped, repeated or added, the list reversed, or the torus rank
     of a CP^inf or point factor."""
-    ids = sorted({v for block in obj["partition"] for v in block}) + ["nope"]
+    ids = _vertex_ids(obj)
     for n, node in enumerate(obj["nodes"]):
         for f, factor in enumerate(node["factors"]):
             where = f"{node['name']} factor {f}"
             changes = [("block", factor["block"] + 1)]
             for key in ("cp_vertices", "lie_vertices"):
-                value = factor[key]
-                values = [value[::-1]] + [value + [w] for w in ids]
-                for j in range(len(value)):
-                    values.append(value[:j] + value[j + 1:])
-                    values.append(value + [value[j]])
-                    values += [value[:j] + [w] + value[j + 1:] for w in ids]
-                changes += [(key, v) for v in values]
+                changes += [(key, v) for v in _id_list_mutations(factor[key], ids)]
             if factor["factor"]["kind"] in ("CP", "point"):
                 k = len(factor["cp_vertices"])
                 changes += [("factor", {"kind": "point"})] + [
@@ -366,35 +395,117 @@ def _binding_mutations(obj):
                 yield f"{where} {key}={value}", mutated
 
 
-class TestBindingMutations:
-    """verify checks which vertex every generator is bound to: each
-    single-field corruption of a binding exits 1."""
+def _lie_maps():
+    yield None
+    yield {"kind": "from_point"}
+    for power in range(3):
+        yield {"kind": "iota2", "power": power}
+        for after in (False, True):
+            yield {"kind": "iota1", "power": power, "after_iota3": after}
 
-    @pytest.mark.parametrize("name", [
-        "RING_468", "PAIR_44", "double_fan", "TORUS_AND_SP", "TORUS_BESIDE_SP",
-    ])
-    def test_every_binding_mutation_fails(self, name, tmp_path):
-        text = {
-            "RING_468": RING_468, "PAIR_44": PAIR_44,
-            "double_fan": complex_json(ring_double_fan()),
-            "TORUS_AND_SP": TORUS_AND_SP, "TORUS_BESIDE_SP": TORUS_BESIDE_SP,
-        }[name]
+
+def _field_mutations(obj):
+    """(label, diagram) for every diagram that differs from obj in one node
+    or edge field: a node's name (another node's or none), its simplex (as
+    in _id_list_mutations), the kind or rank of a node factor (rank 0 to
+    one above the original), an edge's from/to name, its source/target
+    simplex, one of its block maps (block index, Lie map, CP^inf inclusion;
+    one map dropped or repeated, or the list reversed) or one entry of its
+    generator_map (a new image, dropped or added)."""
+    ids = _vertex_ids(obj)
+    names = [node["name"] for node in obj["nodes"]] + ["sigma_nope"]
+    changes = []
+    for n, node in enumerate(obj["nodes"]):
+        changes += [(("nodes", n, "name"), w) for w in names]
+        changes += [(("nodes", n, "simplex"), v)
+                    for v in _id_list_mutations(node["simplex"], ids)]
+        for f, factor in enumerate(node["factors"]):
+            rank = factor["factor"].get("n", factor["factor"].get("k", 0))
+            factors = [{"kind": "point"}] + [
+                {"kind": kind, key: r}
+                for r in (rank - 1, rank, rank + 1) if r >= 0
+                for kind, key in (("BSp", "n"), ("BSU", "n"), ("CP", "k"))
+            ]
+            if factor["factor"] == {"kind": "BSp", "n": 1} and not any(
+                node["name"] in (edge["from"], edge["to"]) for edge in obj["edges"]
+            ):
+                # Sp(1) = SU(2), so on a node without edges BSU(2) is another
+                # true label for this factor, not a corruption
+                factors.remove({"kind": "BSU", "n": 2})
+            changes += [(("nodes", n, "factors", f, "factor"), v) for v in factors]
+    for e, edge in enumerate(obj["edges"]):
+        at = ("edges", e)
+        changes += [(at + (key,), w) for key in ("from", "to") for w in names]
+        changes += [(at + (key,), v) for key in ("source", "target")
+                    for v in _id_list_mutations(edge[key], ids)]
+        maps = edge["maps"]
+        changes += [(at + ("maps",), maps[::-1])]
+        for m, bm in enumerate(maps):
+            changes += [(at + ("maps",), maps[:m] + maps[m + 1:]),
+                        (at + ("maps",), maps + [bm]),
+                        (at + ("maps", m, "block"), bm["block"] + 1)]
+            changes += [(at + ("maps", m, "lie"), v) for v in _lie_maps()]
+            changes += [(at + ("maps", m, "cp"), v)
+                        for v in (None, {"source": [], "target": []})]
+            if bm["cp"]:
+                changes += [(at + ("maps", m, "cp", key), v)
+                            for key in ("source", "target")
+                            for v in _id_list_mutations(bm["cp"][key], ids)]
+        gmap = edge["generator_map"]
+        for v in ids:
+            changes += [(at + ("generator_map",), {**gmap, v: w})
+                        for w in [None, *ids]]
+            changes.append((at + ("generator_map",),
+                            {w: x for w, x in gmap.items() if w != v}))
+    for path, value in changes:
+        mutated = json.loads(json.dumps(obj))
+        parent = mutated
+        for key in path[:-1]:
+            parent = parent[key]
+        if parent[path[-1]] == value:
+            continue
+        parent[path[-1]] = value
+        yield f"{'/'.join(map(str, path))}={value}", mutated
+
+
+MUTATION_FIXTURES = {
+    "RING_468": RING_468, "PAIR_44": PAIR_44,
+    "double_fan": complex_json(ring_double_fan()),
+    "TORUS_AND_SP": TORUS_AND_SP, "TORUS_BESIDE_SP": TORUS_BESIDE_SP,
+}
+
+
+class TestBindingMutations:
+    """verify checks everything a diagram claims: each single-field
+    corruption of a node factor's binding exits 1, and each one of any
+    other node or edge field exits 1 or, where it cannot be parsed, 2."""
+
+    def _mutations_passing_verify(self, name, mutations, codes, tmp_path):
         complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
         report_path = str(tmp_path / "report.json")
-        complex_path.write_text(text)
+        complex_path.write_text(MUTATION_FIXTURES[name])
         assert cli_main(["construct", str(complex_path), "-o", str(diagram_path)]) == 0
         verify = ["verify", str(complex_path), "--diagram", str(diagram_path),
                   "-o", report_path]
         assert cli_main(verify) == 0
-        original = json.loads(diagram_path.read_text())
         passed, count = [], 0
-        for label, mutated in _binding_mutations(original):
+        for label, mutated in mutations(json.loads(diagram_path.read_text())):
             diagram_path.write_text(json.dumps(mutated))
             count += 1
-            if cli_main(verify) != 1:
+            if cli_main(verify) not in codes:
                 passed.append(label)
         assert count >= 10
-        assert passed == []
+        return passed
+
+    @pytest.mark.parametrize("name", list(MUTATION_FIXTURES))
+    def test_every_binding_mutation_fails(self, name, tmp_path):
+        assert self._mutations_passing_verify(
+            name, _binding_mutations, (1,), tmp_path) == []
+
+    @pytest.mark.parametrize("name", list(MUTATION_FIXTURES))
+    def test_every_node_and_edge_mutation_fails(self, name, tmp_path):
+        assert self._mutations_passing_verify(
+            name, _field_mutations, (1, 2), tmp_path) == []
 
     def test_named_cp_bindings_fail(self, tmp_path):
         complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
@@ -412,6 +523,50 @@ class TestBindingMutations:
                 "node sigma_t_u_x4 factor 0 does not bind the generators of "
                 "partition block 0"
             )
+
+
+class TestOnePosetPerCommand:
+    """Every command builds the facet-intersection poset once: pmax is
+    rebound in every srrealize module, the way the bench tracer wraps it,
+    and counted around one cli main call."""
+
+    @pytest.mark.parametrize("args, text", [
+        (["check"], RING_468),
+        (["construct"], RING_468),
+        (["verify"], RING_468),
+        (["verify", "--diagram"], RING_468),
+        (["partition"], RING_468),
+        (["obstruct"], RING_468),
+        (["construct"], PAIR_44),
+        (["check"], json.dumps({
+            "vertices": [{"id": "a", "degree": 8}, {"id": "b", "degree": 8}],
+            "facets": [["a", "b"]],
+        })),
+    ], ids=[
+        "check-RING_468", "construct-RING_468", "verify-RING_468",
+        "verify_diagram-RING_468", "partition-RING_468", "obstruct-RING_468",
+        "construct-PAIR_44", "check-one_facet_88",
+    ])
+    def test_one_pmax_call(self, args, text, tmp_path, monkeypatch):
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        complex_path.write_text(text)
+        if "--diagram" in args:
+            cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
+            args = args + [str(diagram_path)]
+        pmax = complexes.pmax
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return pmax(c)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "srrealize" and (
+                getattr(module, "pmax", None) is pmax
+            ):
+                monkeypatch.setattr(module, "pmax", counted)
+        cli_main([*args, str(complex_path), "-o", str(tmp_path / "out")])
+        assert len(calls) == 1
 
 
 class TestPartition:

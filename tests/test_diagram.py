@@ -27,7 +27,6 @@ from srrealize import (
     emit_json,
     expected_block_maps,
     full_report,
-    label_degree_multiset,
     label_node,
     make_complex,
     node_name,
@@ -130,14 +129,6 @@ class TestLabelNode:
             label_node(c, frozenset({"x6"}), single_block(c))
         assert info.value.simplex == frozenset({"x6"})
         assert info.value.block == 0
-
-    def test_label_degree_multiset(self):
-        blocks = (
-            BlockLabel(0, BSU(3), ("u", "v"), ("a", "b")),
-            BlockLabel(1, BSp(2), (), ("c", "d")),
-        )
-        assert label_degree_multiset(blocks) == (2, 2, 4, 4, 6, 8)
-        assert label_degree_multiset((BlockLabel(0, Point(), (), ()),)) == ()
 
 
 class TestBlockMaps:

@@ -12,10 +12,10 @@ from srrealize import (
     sr_hilbert,
 )
 from srrealize.hilbert import MAX_TRUNCATION
-from srrealize.verify import brute_oracle_hilbert
 
 from helpers import (
     PROPERTY,
+    brute_oracle_hilbert,
     complexes,
     face_sum_hilbert,
     naive_count,
@@ -34,13 +34,6 @@ class TestHilbertFunction:
             h.at(6)
         with pytest.raises(ValueError):
             h.at(-2)
-
-    def test_json_shape(self):
-        h = free_hilbert((4, 8), 8)
-        assert h.to_json_dict() == {
-            "D": 8,
-            "dims": {"0": 1, "2": 0, "4": 1, "6": 0, "8": 2},
-        }
 
 
 class TestFreeHilbert:

@@ -12,9 +12,9 @@ from srrealize import (
     BlockMap,
     Iota2Power,
     Partition,
+    Point,
     Realizable,
     SufficientOnly,
-    brute_oracle_hilbert,
     build_diagram,
     full_report,
     make_complex,
@@ -24,9 +24,11 @@ from srrealize import (
     verify_construction,
 )
 from srrealize.hilbert import bitmasks, mobius_hilbert
+from srrealize.verify import _label_degrees
 
 from helpers import (
     PROPERTY,
+    brute_oracle_hilbert,
     complexes,
     intersection_complex,
     naive_sr_count,
@@ -178,6 +180,17 @@ class TestVerifyConstruction:
         assert [e.ok for e in report.edge_checks] == [True, True]
         assert report.to_json_dict()["passed"] is True
         assert report.to_text().startswith("verification up to degree 40: PASS")
+
+    def test_label_degrees_stop_at_the_truncation(self):
+        blocks = (
+            BlockLabel(0, BSU(3), ("u", "v"), ("a", "b")),
+            BlockLabel(1, BSp(2), (), ("c", "d")),
+        )
+        assert _label_degrees(blocks, 8) == (2, 2, 4, 4, 6, 8)
+        assert _label_degrees(blocks, 6) == (2, 2, 4, 4, 6)
+        assert _label_degrees((BlockLabel(0, Point(), (), ()),), 8) == ()
+        huge = (BlockLabel(0, BSU(10**30), (), ()),)
+        assert _label_degrees(huge, 100) == tuple(range(4, 101, 2))
 
     def test_passes_on_fixtures(self):
         for c in (ring_fan6(3), ring_double_fan()):
