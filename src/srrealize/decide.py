@@ -12,9 +12,21 @@ a necessary condition requiring every poset element to classify into one of
 the four admissible families (valid whenever no two degree-4 generators share
 a face).  full_report runs them only when the hypothesis fails; under it,
 decide_main's verdict is final and the tools would only repeat it.
+
+The partition search is the one stage whose cost is exponential in the
+worst case.  It refutes by counting before it branches.  Every constructible
+block meets a poset element in a Torus, SU or Sp multiset, whose degrees
+above 2 form a chain {4, 6, ..., 2n+2} or {4, 8, ..., 4n}: it starts at 4,
+repeats no degree and is closed downward along its step.  Two rules follow,
+proved in find_partition's docstring: a root rule that compares the degree
+counts of each element before the search starts, and a completion rule that
+compares the chain degrees the placed blocks still lack with the vertices
+left to place.  Both only cut branches holding no partition, so the search
+returns the same first partition as without them.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .admissible import (
@@ -135,6 +147,26 @@ def necessary_condition(c: ComplexWithDegrees) -> Simplex | None:
     return None
 
 
+def _root_counts_fail(counts: Counter[int]) -> bool:
+    """The root rule on one poset element's degree counts (find_partition)."""
+    for d, n in counts.items():
+        if d < 6:
+            continue
+        below = counts[d - 2] + (counts[d - 4] if d % 4 == 0 else 0)
+        if n > counts[4] or n > below:
+            return True
+    return False
+
+
+def _chain_gaps(degs: set[int]) -> list[int]:
+    """M_b of find_partition: the degrees that every SU or Sp chain holding
+    degs also holds, less degs itself (a set of distinct degrees >= 4)."""
+    if not degs:
+        return []
+    step = 2 if any(d % 4 == 2 for d in degs) else 4
+    return [e for e in range(4, max(degs), step) if e not in degs]
+
+
 def find_partition(c: ComplexWithDegrees) -> Partition | None:
     """Backtracking search for a vertex partition under which every poset
     element meets every block in a Torus, SUType or SpType multiset.
@@ -145,6 +177,44 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     a branch as soon as a block repeats a degree inside one poset element or
     a fully assigned element classifies badly.  The first solution found is
     returned, so the result is deterministic.
+
+    Two counting rules cut branches early.  Both rest on one fact: in a
+    partition, block b meets element s in a constructible multiset, so its
+    degrees above 2 in s form an SU chain {4, 6, ..., 2n+2} or an Sp chain
+    {4, 8, ..., 4n}.  Such a chain starts at 4, holds each degree at most
+    once, and with a degree d >= 6 it also holds d - 2 (SU) or d - 4 (Sp,
+    only when 4 | d, since Sp degrees are multiples of 4).
+
+    Root rule, checked once before the search.  Let n_e(s) count the
+    vertices of degree e in s.  For every element s and every degree
+    d >= 6, a partition needs n_d(s) <= n_4(s), and n_d(s) <= n_(d-2)(s)
+    when d = 2 mod 4, or n_d(s) <= n_(d-2)(s) + n_(d-4)(s) when 4 | d.
+    Proof: each block holds at most one vertex of degree d in s, so
+    n_d(s) blocks hold one.  Each of them holds a degree-4 vertex of s and
+    one of degree d - 2 (or d - 4 when 4 | d) in s, and distinct blocks
+    hold distinct vertices, so these are injective maps into the vertices
+    counted on the right.  When a count fails, no partition exists.
+
+    Completion rule, checked after each assignment on each element s that
+    holds the vertex just placed.  Let A_b be the degrees of the placed
+    vertices of s in block b.  Block b still needs the chain degrees
+    M_b = {4, 6, ..., max A_b} minus A_b when A_b has a degree = 2 mod 4,
+    else {4, 8, ..., max A_b} minus A_b.  Prune when, for some degree e,
+    more blocks need e than s has unplaced vertices of degree e.  Proof: in
+    a partition that extends the current assignment, block b meets s in a
+    chain holding A_b.  A degree = 2 mod 4 makes it an SU chain, which holds
+    every even degree from 4 to max A_b; otherwise it holds at least the Sp
+    degrees {4, 8, ..., max A_b}, which both chains do.  So b gets a vertex
+    of each degree in M_b from the unplaced vertices of s, and distinct
+    blocks get distinct vertices.  The search keeps, per element, the
+    degrees each block holds, the number of blocks lacking each degree and
+    the unplaced vertices of each degree, and updates them as it places a
+    vertex and takes it back.
+
+    Both rules cut only subtrees that hold no partition, so the search
+    visits the same branches in the same order up to the first solution
+    and returns the same partition, or None exactly when it did before.
+    The search stays exponential in the worst case.
     """
     ids2 = tuple(v for v in c.sorted_ids if c.degree(v) == 2)
     ids4 = tuple(v for v in c.sorted_ids if c.degree(v) >= 4)
@@ -153,10 +223,21 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     idx_of = {v: k for k, v in enumerate(ids4)}
     twos_in = {s: sum(1 for v in s if c.degree(v) == 2) for s in elements}
     high_in = {s: tuple(v for v in sorted(s) if c.degree(v) >= 4) for s in elements}
+    # unplaced vertices of each degree, per element
+    left = {s: Counter(c.degree(v) for v in high_in[s]) for s in elements}
+    if any(_root_counts_fail(left[s]) for s in elements):
+        return None
     complete_at: dict[int, list[Simplex]] = {}
+    holding: dict[str, list[Simplex]] = {v: [] for v in ids4}
     for s in elements:
         if high_in[s]:
             complete_at.setdefault(max(idx_of[v] for v in high_in[s]), []).append(s)
+        for v in high_in[s]:
+            holding[v].append(s)
+    # per element, the degrees each block holds and the number of blocks
+    # lacking each chain degree
+    held: dict[Simplex, dict[int, set[int]]] = {s: {} for s in elements}
+    lacking: dict[Simplex, Counter[int]] = {s: Counter() for s in elements}
 
     assign: dict[str, int] = {}
     base_blocks = 1 if ids2 else 0
@@ -175,14 +256,28 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
         )
 
     def duplicate_degree(v: str, b: int) -> bool:
-        dv = c.degree(v)
-        for s in elements:
-            if v in s and any(
-                w != v and assign.get(w) == b and c.degree(w) == dv
-                for w in high_in[s]
-            ):
-                return True
-        return False
+        d = c.degree(v)
+        return any(d in held[s].get(b, ()) for s in holding[v])
+
+    def move(v: str, b: int, placing: bool) -> None:
+        """Place v in block b, or take it back out, in the state of every
+        element holding v."""
+        d = c.degree(v)
+        for s in holding[v]:
+            degs, lack = held[s].setdefault(b, set()), lacking[s]
+            for e in _chain_gaps(degs):
+                lack[e] -= 1
+            if placing:
+                degs.add(d)
+            else:
+                degs.remove(d)
+            for e in _chain_gaps(degs):
+                lack[e] += 1
+            left[s][d] += -1 if placing else 1
+
+    def cannot_complete(s: Simplex) -> bool:
+        """The completion rule on element s."""
+        return any(n > left[s][e] for e, n in lacking[s].items())
 
     def dfs(k: int) -> bool:
         nonlocal nblocks
@@ -193,13 +288,17 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
             if duplicate_degree(v, b):
                 continue
             assign[v] = b
+            move(v, b, True)
             grew = b == nblocks
             if grew:
                 nblocks += 1
-            ok = all(admissible_so_far(s) for s in complete_at.get(k, ()))
+            ok = not any(cannot_complete(s) for s in holding[v]) and all(
+                admissible_so_far(s) for s in complete_at.get(k, ())
+            )
             if ok and dfs(k + 1):
                 return True
             del assign[v]
+            move(v, b, False)
             if grew:
                 nblocks -= 1
         return False

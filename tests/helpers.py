@@ -3,8 +3,8 @@
 The oracles deliberately avoid the package's fast paths: counting is done by
 plain recursion over exponents or face by face, poset elements by
 intersecting every facet subset, covering pairs by testing every triple, the
-pushout recurrence by rebuilding every prefix complex, and primes by trial
-division.
+pushout recurrence by rebuilding every prefix complex, partitions by
+listing every set partition, and primes by trial division.
 """
 from __future__ import annotations
 
@@ -15,11 +15,14 @@ from typing import Iterable, Sequence
 from hypothesis import HealthCheck, settings, strategies as st
 
 from srrealize import (
+    CONSTRUCTIBLE,
     ComplexWithDegrees,
     HilbertFunction,
+    Partition,
     Simplex,
     VertexDecl,
     all_faces,
+    classify,
     free_hilbert,
     make_complex,
     simplex_key,
@@ -342,3 +345,107 @@ def complexes(draw) -> ComplexWithDegrees:
     facets = draw(st.permutations(facets))
     used = sorted(set().union(*facets))
     return make_complex({v: draw(degree) for v in used}, facets)
+
+
+def unpruned_find_partition(c: ComplexWithDegrees) -> Partition | None:
+    """decide.find_partition as it was before its counting rules: the same
+    backtracking search, pruned only by repeated degrees and by elements
+    that classify badly once fully assigned.  The rules must not change
+    which partition it returns."""
+    ids2 = tuple(v for v in c.sorted_ids if c.degree(v) == 2)
+    ids4 = tuple(v for v in c.sorted_ids if c.degree(v) >= 4)
+    elements = c.poset.elements
+
+    idx_of = {v: k for k, v in enumerate(ids4)}
+    twos_in = {s: sum(1 for v in s if c.degree(v) == 2) for s in elements}
+    high_in = {s: tuple(v for v in sorted(s) if c.degree(v) >= 4) for s in elements}
+    complete_at: dict[int, list[Simplex]] = {}
+    for s in elements:
+        if high_in[s]:
+            complete_at.setdefault(max(idx_of[v] for v in high_in[s]), []).append(s)
+
+    assign: dict[str, int] = {}
+    base_blocks = 1 if ids2 else 0
+    nblocks = base_blocks
+
+    def block_multiset(s: Simplex, b: int) -> tuple[int, ...]:
+        degs = [c.degree(v) for v in high_in[s] if assign.get(v) == b]
+        if b == 0:
+            degs.extend([2] * twos_in[s])
+        return tuple(sorted(degs))
+
+    def admissible_so_far(s: Simplex) -> bool:
+        return all(
+            isinstance(classify(block_multiset(s, b)), CONSTRUCTIBLE)
+            for b in range(nblocks)
+        )
+
+    def duplicate_degree(v: str, b: int) -> bool:
+        dv = c.degree(v)
+        for s in elements:
+            if v in s and any(
+                w != v and assign.get(w) == b and c.degree(w) == dv
+                for w in high_in[s]
+            ):
+                return True
+        return False
+
+    def dfs(k: int) -> bool:
+        nonlocal nblocks
+        if k == len(ids4):
+            return True
+        v = ids4[k]
+        for b in range(nblocks + 1):
+            if duplicate_degree(v, b):
+                continue
+            assign[v] = b
+            grew = b == nblocks
+            if grew:
+                nblocks += 1
+            ok = all(admissible_so_far(s) for s in complete_at.get(k, ()))
+            if ok and dfs(k + 1):
+                return True
+            del assign[v]
+            if grew:
+                nblocks -= 1
+        return False
+
+    if not dfs(0):
+        return None
+    blocks: list[list[str]] = [[] for _ in range(nblocks)]
+    if ids2:
+        blocks[0].extend(ids2)
+    for v in ids4:
+        blocks[assign[v]].append(v)
+    return Partition(tuple(tuple(sorted(b)) for b in blocks))
+
+
+def _set_partitions(items: Sequence[str]) -> Iterable[list[list[str]]]:
+    """Every partition of items into nonempty blocks, each listed once."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[head]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[head] + part[i]] + part[i + 1:]
+
+
+def brute_partition_exists(c: ComplexWithDegrees) -> bool:
+    """Whether some partition of the vertices of degree >= 4 meets every
+    facet intersection in a constructible multiset in every block, found by
+    listing all set partitions.  Degree-2 vertices never change a class, so
+    they are left out; poset elements come from brute_pmax."""
+    high = [v for v in c.sorted_ids if c.degree(v) >= 4]
+    elements = brute_pmax(c)
+    return any(
+        all(
+            isinstance(
+                classify([c.degree(v) for v in block if v in s]), CONSTRUCTIBLE
+            )
+            for s in elements
+            for block in part
+        )
+        for part in _set_partitions(high)
+    )

@@ -468,6 +468,38 @@ def _field_mutations(obj):
         yield f"{'/'.join(map(str, path))}={value}", mutated
 
 
+def _partition_mutations(obj):
+    """(label, diagram) for every diagram that differs from obj in one
+    partition field: one block changed as in _id_list_mutations (reversed,
+    an entry dropped, repeated or swapped for another id, an id added), two
+    neighbouring entries of a block swapped, or one vertex moved to another
+    block or to a new one."""
+    blocks = obj["partition"]
+    ids = _vertex_ids(obj)
+    changes = []
+    for i, block in enumerate(blocks):
+        changes += [(f"block {i}={v}", blocks[:i] + [v] + blocks[i + 1:])
+                    for v in _id_list_mutations(block, ids)]
+        for j, v in enumerate(block):
+            if j + 1 < len(block):
+                swapped = block[:j] + [block[j + 1], v] + block[j + 2:]
+                changes.append((f"block {i} swap {j}",
+                                blocks[:i] + [swapped] + blocks[i + 1:]))
+            for k in range(len(blocks) + 1):
+                if k == i:
+                    continue
+                moved = [[w for w in b if w != v] for b in blocks] + [[]]
+                moved[k].append(v)
+                moved[k].sort()
+                changes.append((f"{v} to block {k}", [b for b in moved if b]))
+    for label, partition in changes:
+        if partition == blocks:
+            continue
+        mutated = json.loads(json.dumps(obj))
+        mutated["partition"] = partition
+        yield label, mutated
+
+
 MUTATION_FIXTURES = {
     "RING_468": RING_468, "PAIR_44": PAIR_44,
     "double_fan": complex_json(ring_double_fan()),
@@ -506,6 +538,25 @@ class TestBindingMutations:
     def test_every_node_and_edge_mutation_fails(self, name, tmp_path):
         assert self._mutations_passing_verify(
             name, _field_mutations, (1, 2), tmp_path) == []
+
+    @pytest.mark.parametrize("name", list(MUTATION_FIXTURES))
+    def test_every_partition_mutation_fails(self, name, tmp_path):
+        assert self._mutations_passing_verify(
+            name, _partition_mutations, (1, 2), tmp_path) == []
+
+    def test_reversed_block_fails(self, tmp_path):
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        complex_path.write_text(RING_468)
+        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
+        obj = json.loads(diagram_path.read_text())
+        assert obj["partition"] == [["x4", "x6", "x8"]]
+        obj["partition"] = [["x8", "x6", "x4"]]
+        diagram_path.write_text(json.dumps(obj))
+        r = run(["verify", str(complex_path), "--diagram", str(diagram_path)])
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["first_discrepancy"] == (
+            "diagram partition blocks are not in strictly ascending id order"
+        )
 
     def test_named_cp_bindings_fail(self, tmp_path):
         complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"

@@ -1,8 +1,10 @@
 """Verdicts: the complete decision, the partition search, the necessary
 condition, and the combined report."""
 import random
+import time
 
 import pytest
+from hypothesis import given
 
 from srrealize import (
     CONSTRUCTIBLE,
@@ -27,14 +29,19 @@ from srrealize import (
     necessary_condition,
     pmax,
 )
+from srrealize import decide
 
 from helpers import (
+    PROPERTY,
+    brute_partition_exists,
+    complexes,
     random_complex,
     ring_468,
     ring_double_fan,
     ring_split46,
     shuffled_facets,
     single_facet,
+    unpruned_find_partition,
 )
 
 
@@ -160,6 +167,77 @@ class TestFindPartition:
             c = random_complex(rng)
             if isinstance(decide_main(c), Realizable):
                 assert find_partition(c) is not None
+
+
+def pigeonhole(k):
+    """k degree-4 and k + 1 degree-6 vertices on one facet: no partition."""
+    degrees = {f"a{i}": 4 for i in range(k)} | {f"b{i}": 6 for i in range(k + 1)}
+    return make_complex(degrees, [set(degrees)])
+
+
+def planted(k):
+    """A core facet of k degree-4 and k degree-6 vertices, and one facet per
+    planted pair {a_i, b_(k-1-i)} with a fresh degree-2 vertex.  On the
+    pair's element a 6 needs its own 4, so the planted pairs form the only
+    partition of the vertices of degree >= 4."""
+    pairs = [(f"a{i}", f"b{k - 1 - i}") for i in range(k)]
+    degrees = {v: d for a, b in pairs for v, d in ((a, 4), (b, 6))}
+    degrees.update({f"e{i}": 2 for i in range(k)})
+    facets = [{v for pair in pairs for v in pair}] + [
+        {a, b, f"e{i}"} for i, (a, b) in enumerate(pairs)
+    ]
+    return make_complex(degrees, facets)
+
+
+class TestPartitionCountingRules:
+    """find_partition's root and completion rules cut only branches that
+    hold no partition, and they refute the families that hung the plain
+    search."""
+
+    @PROPERTY
+    @given(complexes())
+    def test_same_partition_as_the_unpruned_search(self, c):
+        assert find_partition(c) == unpruned_find_partition(c)
+
+    @PROPERTY
+    @given(complexes())
+    def test_none_exactly_when_no_set_partition_works(self, c):
+        assert (find_partition(c) is None) == (not brute_partition_exists(c))
+
+    def _timed(self, c, monkeypatch):
+        calls = []
+
+        def counting(ms):
+            calls.append(ms)
+            return classify(ms)
+
+        monkeypatch.setattr(decide, "classify", counting)
+        start = time.perf_counter()
+        part = find_partition(c)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, elapsed
+        return part, len(calls)
+
+    @pytest.mark.parametrize("c", [
+        pigeonhole(8), single_facet((4, 6, 10) * 5),
+    ], ids=["pigeonhole_8", "4_6_10_x5"])
+    def test_root_rule_refutes_without_classifying(self, c, monkeypatch):
+        assert self._timed(c, monkeypatch) == (None, 0)
+
+    def test_completion_rule_refutes_4_6_8_12_x4(self, monkeypatch):
+        # every root count holds: 4 twelves against 4 eights, 4 eights
+        # against 4 sixes and 4 fours; the twelves take Sp chains
+        # {4, 8, 12}, which leaves no 4 for the sixes
+        assert self._timed(single_facet((4, 6, 8, 12) * 4), monkeypatch) == (None, 0)
+
+    def test_planted_7_returns_its_partition(self, monkeypatch):
+        part, calls = self._timed(planted(7), monkeypatch)
+        assert calls > 0  # the rebinding sees the search's classify calls
+        twos = tuple(f"e{i}" for i in range(7))
+        assert part == Partition(
+            (tuple(sorted(("a0", "b6") + twos)),)
+            + tuple((f"a{i}", f"b{6 - i}") for i in range(1, 7))
+        )
 
 
 class TestFullReport:
