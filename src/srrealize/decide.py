@@ -22,7 +22,9 @@ proved in find_partition's docstring: a root rule that compares the degree
 counts of each element before the search starts, and a completion rule that
 compares the chain degrees the placed blocks still lack with the vertices
 left to place.  Both only cut branches holding no partition, so the search
-returns the same first partition as without them.
+returns the same first partition as without them.  On an element whose
+vertices are all placed, the completion rule holds exactly when every block
+meets it in a constructible multiset, so the search never classifies.
 """
 from __future__ import annotations
 
@@ -175,8 +177,8 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     Higher-degree vertices are assigned in lexicographic order, each to an
     existing block or the first unused one (which breaks symmetry), pruning
     a branch as soon as a block repeats a degree inside one poset element or
-    a fully assigned element classifies badly.  The first solution found is
-    returned, so the result is deterministic.
+    the completion rule below fires.  The first solution found is returned,
+    so the result is deterministic.
 
     Two counting rules cut branches early.  Both rest on one fact: in a
     partition, block b meets element s in a constructible multiset, so its
@@ -211,49 +213,35 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     the unplaced vertices of each degree, and updates them as it places a
     vertex and takes it back.
 
-    Both rules cut only subtrees that hold no partition, so the search
-    visits the same branches in the same order up to the first solution
-    and returns the same partition, or None exactly when it did before.
-    The search stays exponential in the worst case.
+    The completion rule is also the whole constructibility test, so the
+    search never classifies.  Once every vertex of s is placed, none is
+    left, so the rule prunes unless every A_b runs without a gap from 4 to
+    max A_b along its step; repeating no degree, A_b is then empty or an SU
+    or Sp chain.  Degree-2 vertices change no Torus, SU or Sp class, so
+    every leaf the search reaches is a partition.
+
+    The rules cut only subtrees that hold no partition, so the search
+    returns the same first partition as a plain search that checks
+    repeated degrees and classifies each fully placed element, or None
+    exactly when no partition exists.  The search stays exponential in the
+    worst case.
     """
     ids2 = tuple(v for v in c.sorted_ids if c.degree(v) == 2)
     ids4 = tuple(v for v in c.sorted_ids if c.degree(v) >= 4)
     elements = c.poset.elements
 
-    idx_of = {v: k for k, v in enumerate(ids4)}
-    twos_in = {s: sum(1 for v in s if c.degree(v) == 2) for s in elements}
-    high_in = {s: tuple(v for v in sorted(s) if c.degree(v) >= 4) for s in elements}
     # unplaced vertices of each degree, per element
-    left = {s: Counter(c.degree(v) for v in high_in[s]) for s in elements}
+    left = {s: Counter(c.degree(v) for v in s if c.degree(v) >= 4) for s in elements}
     if any(_root_counts_fail(left[s]) for s in elements):
         return None
-    complete_at: dict[int, list[Simplex]] = {}
-    holding: dict[str, list[Simplex]] = {v: [] for v in ids4}
-    for s in elements:
-        if high_in[s]:
-            complete_at.setdefault(max(idx_of[v] for v in high_in[s]), []).append(s)
-        for v in high_in[s]:
-            holding[v].append(s)
+    holding = {v: [s for s in elements if v in s] for v in ids4}
     # per element, the degrees each block holds and the number of blocks
     # lacking each chain degree
     held: dict[Simplex, dict[int, set[int]]] = {s: {} for s in elements}
     lacking: dict[Simplex, Counter[int]] = {s: Counter() for s in elements}
 
     assign: dict[str, int] = {}
-    base_blocks = 1 if ids2 else 0
-    nblocks = base_blocks
-
-    def block_multiset(s: Simplex, b: int) -> tuple[int, ...]:
-        degs = [c.degree(v) for v in high_in[s] if assign.get(v) == b]
-        if b == 0:
-            degs.extend([2] * twos_in[s])
-        return tuple(sorted(degs))
-
-    def admissible_so_far(s: Simplex) -> bool:
-        return all(
-            isinstance(classify(block_multiset(s, b)), CONSTRUCTIBLE)
-            for b in range(nblocks)
-        )
+    nblocks = 1 if ids2 else 0
 
     def duplicate_degree(v: str, b: int) -> bool:
         d = c.degree(v)
@@ -292,10 +280,7 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
             grew = b == nblocks
             if grew:
                 nblocks += 1
-            ok = not any(cannot_complete(s) for s in holding[v]) and all(
-                admissible_so_far(s) for s in complete_at.get(k, ())
-            )
-            if ok and dfs(k + 1):
+            if not any(cannot_complete(s) for s in holding[v]) and dfs(k + 1):
                 return True
             del assign[v]
             move(v, b, False)

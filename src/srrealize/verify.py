@@ -249,12 +249,13 @@ def _label_degrees(blocks: SpaceLabel, truncation: int) -> DegreeMultiset:
 def verify_construction(
     c: ComplexWithDegrees, diagram: ColimitDiagram, truncation: int
 ) -> VerificationReport:
-    """Full verification: the partition covers the vertex set and lists each
-    block in strictly ascending id order, its canonical form; (a) node
-    labels bind each generator to the vertex of the right block
-    (_binding_issues) and carry the free cohomology of their simplices,
-    (b) edge maps restrict to the Stanley-Reisner projections on generators,
-    (c) the gluing recurrence holds up to the truncation."""
+    """Full verification: the partition's blocks are disjoint, cover the
+    vertex set and list their ids in strictly ascending order, their
+    canonical form; (a) node labels bind each generator to the vertex of
+    the right block (_binding_issues) and carry the free cohomology of
+    their simplices, (b) edge maps restrict to the Stanley-Reisner
+    projections on generators, (c) the gluing recurrence holds up to the
+    truncation."""
     report = VerificationReport(truncation)
     poset = c.poset
     expected_nodes = [(node_name(s), simplex_key(s)) for s in poset.elements]
@@ -278,6 +279,10 @@ def verify_construction(
     if covered != set(c.sorted_ids):
         report.structure_issues.append(
             "diagram partition does not cover the vertex set"
+        )
+    if sum(len(set(b)) for b in diagram.partition.blocks) != len(covered):
+        report.structure_issues.append(
+            "diagram partition blocks are not disjoint"
         )
     if any(a >= b for block in diagram.partition.blocks
            for a, b in zip(block, block[1:])):

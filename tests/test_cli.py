@@ -558,6 +558,30 @@ class TestBindingMutations:
             "diagram partition blocks are not in strictly ascending id order"
         )
 
+    @pytest.mark.parametrize("degree", ["0", "2"])
+    def test_overlapping_blocks_fail(self, degree, tmp_path):
+        # a second block {x4} with a BSp(1) factor at every node and an
+        # identity map on every edge is consistent with everything below
+        # degree 4, so only the partition itself can give it away
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        complex_path.write_text(RING_468)
+        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
+        obj = json.loads(diagram_path.read_text())
+        obj["partition"].append(["x4"])
+        for node in obj["nodes"]:
+            node["factors"].append({"block": 1, "factor": {"kind": "BSp", "n": 1},
+                                    "cp_vertices": [], "lie_vertices": ["x4"]})
+        for edge in obj["edges"]:
+            edge["maps"].append(
+                {"block": 1, "lie": {"kind": "iota2", "power": 0}, "cp": None})
+        diagram_path.write_text(json.dumps(obj))
+        r = run(["verify", str(complex_path), "--diagram", str(diagram_path),
+                 "--max-degree", degree])
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["first_discrepancy"] == (
+            "diagram partition blocks are not disjoint"
+        )
+
     def test_named_cp_bindings_fail(self, tmp_path):
         complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
         complex_path.write_text(TORUS_AND_SP)

@@ -16,6 +16,7 @@ from srrealize import (
     Realizable,
     SufficientOnly,
     build_diagram,
+    find_partition,
     full_report,
     make_complex,
     pmax,
@@ -171,6 +172,17 @@ def mutate_node(diagram, index, factor):
 
 
 class TestVerifyConstruction:
+    @PROPERTY
+    @given(complexes())
+    def test_every_found_partition_constructs_and_verifies(self, c):
+        # build_diagram classifies every block met with every element
+        # (label_node raises on a non-constructible one), an oracle that
+        # shares nothing with the search's chain state
+        part = find_partition(c)
+        if part is not None:
+            top = max((c.degree(v) for v in c.sorted_ids), default=2)
+            assert verify_construction(c, build_diagram(c, part), 6 * top).passed
+
     def test_passes_on_the_worked_example(self):
         c = ring_468()
         report = verify_construction(c, diagram_for(c), 40)
