@@ -14,24 +14,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .admissible import (
     AdmissibleClass,
-    AdemP3,
     Exceptional,
     Inadmissible,
-    MultipleDegree4,
     ObstructionReason,
     SpType,
     SUType,
-    TableMiss,
     ThomasRank,
     Torus,
     class_degrees,
+    classify,
     dirichlet_prime,
 )
-from .complexes import ComplexError, ComplexWithDegrees, complex_from_json
+from .complexes import ComplexWithDegrees, complex_from_json
 from .decide import (
     HypothesisViolated,
     NotRealizable,
@@ -64,11 +62,7 @@ def reason_to_json(r: ObstructionReason) -> dict:
             "dimSource": r.dim_source,
             "dimTarget": r.dim_target,
         }
-    if isinstance(r, AdemP3):
-        return {"kind": "AdemP3"}
-    if isinstance(r, TableMiss):
-        return {"kind": "TableMiss"}
-    return {"kind": "MultipleDegree4"}
+    return {"kind": type(r).__name__}
 
 
 def reason_to_text(r: ObstructionReason) -> str:
@@ -77,31 +71,26 @@ def reason_to_text(r: ObstructionReason) -> str:
             f"ThomasRank target {r.target_degree} source {r.source_degree} "
             f"dims {r.dim_source}<{r.dim_target}"
         )
-    return reason_to_json(r)["kind"]
+    return type(r).__name__
+
+
+FAMILIES = {Torus: "Torus", SUType: "SU", SpType: "Sp", Exceptional: "Exceptional"}
 
 
 def class_to_json(cls: AdmissibleClass) -> dict:
     if isinstance(cls, Inadmissible):
         return {"family": "Inadmissible", "reason": reason_to_json(cls.reason)}
-    base: dict = {}
-    if isinstance(cls, Torus):
-        base = {"family": "Torus"}
-    elif isinstance(cls, SUType):
-        base = {"family": "SU", "n": cls.n}
-    elif isinstance(cls, SpType):
-        base = {"family": "Sp", "n": cls.n}
-    elif isinstance(cls, Exceptional):
-        base = {"family": "Exceptional", "n": cls.n}
-    base["k2"] = cls.k2
-    base["degrees"] = list(class_degrees(cls))
-    return base
+    return {
+        "family": FAMILIES[type(cls)],
+        **vars(cls),
+        "degrees": list(class_degrees(cls)),
+    }
 
 
 def class_to_text(cls: AdmissibleClass) -> str:
     if isinstance(cls, Inadmissible):
         return f"inadmissible: {reason_to_text(cls.reason)}"
-    j = class_to_json(cls)
-    return f"{j['family']} degrees {j['degrees']}"
+    return f"{FAMILIES[type(cls)]} degrees {list(class_degrees(cls))}"
 
 
 def verdict_to_json(v: Verdict) -> dict:
@@ -157,12 +146,19 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
+def _emit(args: argparse.Namespace, obj: object, text: Callable[[], str]) -> None:
+    """Write a command's output to --output, or to stdout: obj as indented
+    JSON under --format json, else text().  obj None means text() renders
+    every format."""
+    if obj is not None and args.format == "json":
+        out = json.dumps(obj, indent=2) + "\n"
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        out = text()
+    if args.output is None:
+        sys.stdout.write(out)
+    else:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(out)
 
 
 def _default_truncation(c: ComplexWithDegrees) -> int:
@@ -180,24 +176,21 @@ def _diagram_or_exit_code(c: ComplexWithDegrees) -> ColimitDiagram | int:
     return verdict_exit(verdict)
 
 
+def _check_text(j: dict) -> str:
+    lines = [j["verdict"]]
+    if "partition" in j:
+        lines.append(f"partition: {j['partition']}")
+    if "witness" in j:
+        lines.append(f"witness: {j['witness']} reason: {json.dumps(j['reason'])}")
+    if "pair" in j:
+        lines.append(f"pair: {j['pair']} shared degree {j['shared_power_degree']}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    c = complex_from_json(_read_input(args.input))
-    verdict = full_report(c)
-    if args.format == "json":
-        out = json.dumps(verdict_to_json(verdict), indent=2) + "\n"
-    else:
-        j = verdict_to_json(verdict)
-        lines = [j["verdict"]]
-        if "partition" in j:
-            lines.append(f"partition: {j['partition']}")
-        if "witness" in j:
-            lines.append(f"witness: {j['witness']} reason: {json.dumps(j['reason'])}")
-        if "pair" in j:
-            lines.append(
-                f"pair: {j['pair']} shared degree {j['shared_power_degree']}"
-            )
-        out = "\n".join(lines) + "\n"
-    _write_output(out, args.output)
+    verdict = full_report(complex_from_json(_read_input(args.input)))
+    j = verdict_to_json(verdict)
+    _emit(args, j, lambda: _check_text(j))
     return verdict_exit(verdict)
 
 
@@ -205,8 +198,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     diagram = _diagram_or_exit_code(complex_from_json(_read_input(args.input)))
     if isinstance(diagram, int):
         return diagram
-    out = emit_dot(diagram) if args.format == "dot" else emit_json(diagram)
-    _write_output(out, args.output)
+    emit = emit_dot if args.format == "dot" else emit_json
+    _emit(args, None, lambda: emit(diagram))
     return 0
 
 
@@ -224,50 +217,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if isinstance(diagram, int):
             return diagram
     report = verify_construction(c, diagram, truncation)
-    if args.format == "json":
-        out = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    else:
-        out = report.to_text()
-    _write_output(out, args.output)
+    _emit(args, report.to_json_dict(), report.to_text)
     return 0 if report.passed else 1
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    c = complex_from_json(_read_input(args.input))
-    part = find_partition(c)
-    if args.format == "json":
-        obj = {"partition": None if part is None else [list(b) for b in part.blocks]}
-        out = json.dumps(obj, indent=2) + "\n"
-    else:
-        out = ("none" if part is None else
-               " | ".join(",".join(b) for b in part.blocks)) + "\n"
-    _write_output(out, args.output)
+    part = find_partition(complex_from_json(_read_input(args.input)))
+    blocks = None if part is None else [list(b) for b in part.blocks]
+    text = "none" if part is None else " | ".join(",".join(b) for b in part.blocks)
+    _emit(args, {"partition": blocks}, lambda: text + "\n")
     return 0 if part is not None else 1
 
 
 def cmd_obstruct(args: argparse.Namespace) -> int:
-    from .admissible import classify
-
     c = complex_from_json(_read_input(args.input))
     entries = []
     for s in c.poset.elements:
         ms = c.degree_multiset(s)
         entries.append((sorted(s), ms, classify(ms)))
-    if args.format == "json":
-        obj = {
-            "sigmas": [
-                {"simplex": ids, "multiset": list(ms), "class": class_to_json(cls)}
-                for ids, ms, cls in entries
-            ]
-        }
-        out = json.dumps(obj, indent=2) + "\n"
-    else:
-        lines = [
-            f"sigma {ids}: multiset {list(ms)} -> {class_to_text(cls)}"
-            for ids, ms, cls in entries
-        ]
-        out = "\n".join(lines) + "\n"
-    _write_output(out, args.output)
+    obj = {"sigmas": [
+        {"simplex": ids, "multiset": list(ms), "class": class_to_json(cls)}
+        for ids, ms, cls in entries
+    ]}
+    _emit(args, obj, lambda: "\n".join(
+        f"sigma {ids}: multiset {list(ms)} -> {class_to_text(cls)}"
+        for ids, ms, cls in entries
+    ) + "\n")
     return 0
 
 
@@ -275,13 +250,9 @@ def cmd_prime(args: argparse.Namespace) -> int:
     extras = args.extra or []
     p = dirichlet_prime(extras, args.gt)
     moduli = [16, 3, 5, 7] + list(extras)
-    if args.format == "json":
-        obj = {"prime": p, "residues": {str(m): p % m for m in moduli}}
-        out = json.dumps(obj, indent=2) + "\n"
-    else:
-        residues = ", ".join(f"mod {m} = {p % m}" for m in moduli)
-        out = f"{p} ({residues})\n"
-    _write_output(out, args.output)
+    residues = ", ".join(f"mod {m} = {p % m}" for m in moduli)
+    _emit(args, {"prime": p, "residues": {str(m): p % m for m in moduli}},
+          lambda: f"{p} ({residues})\n")
     return 0
 
 
@@ -339,13 +310,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ComplexError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_INPUT_ERROR
-    except ValueError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_INPUT_ERROR
-    except OSError as e:
+    except (ValueError, OSError) as e:  # ComplexError is a ValueError
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT_ERROR
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import get_type_hints
 
 from .admissible import AdmissibleClass, SpType, SUType, Torus, classify
 from .complexes import (
@@ -106,6 +107,17 @@ class FromPoint:
 
 
 LieMap = Iota1Power | Iota2Power | FromPoint
+
+# The JSON "kind" of each factor and map; emit_json and diagram_from_json
+# both read these tables, and a value's other JSON keys are its fields.
+FACTOR_KINDS: dict[str, type] = {
+    "BSp": BSp, "BSU": BSU, "CP": CPInfPower, "point": Point,
+}
+MAP_KINDS: dict[str, type] = {
+    "from_point": FromPoint, "iota2": Iota2Power, "iota1": Iota1Power,
+}
+_KIND_NAMES = {cls: kind for t in (FACTOR_KINDS, MAP_KINDS) for kind, cls in t.items()}
+_FIELDS = {cls: tuple(get_type_hints(cls).items()) for cls in _KIND_NAMES}
 
 
 @dataclass(frozen=True)
@@ -276,10 +288,8 @@ def build_diagram(c: ComplexWithDegrees, partition: Partition) -> ColimitDiagram
 
 def _factor_pieces(bl: BlockLabel) -> list[str]:
     pieces = []
-    if isinstance(bl.factor, BSp):
-        pieces.append(f"BSp({bl.factor.n})")
-    elif isinstance(bl.factor, BSU):
-        pieces.append(f"BSU({bl.factor.n})")
+    if isinstance(bl.factor, (BSp, BSU)):
+        pieces.append(f"{_KIND_NAMES[type(bl.factor)]}({bl.factor.n})")
     k = len(bl.cp_vertices)
     if k == 1:
         pieces.append("CP^inf")
@@ -293,15 +303,10 @@ def node_text(blocks: SpaceLabel) -> str:
     return " x ".join(pieces) if pieces else "pt"
 
 
-def _lie_text(m: LieMap) -> str:
-    if isinstance(m, FromPoint):
-        return "const"
-    if isinstance(m, Iota2Power):
-        if m.power == 0:
-            return "id"
-        return "iota2" if m.power == 1 else f"iota2^{m.power}"
-    head = "" if m.power == 0 else ("iota1" if m.power == 1 else f"iota1^{m.power}")
-    if m.after_iota3:
+def _lie_text(m: Iota1Power | Iota2Power) -> str:
+    kind = _KIND_NAMES[type(m)]
+    head = "" if m.power == 0 else (kind if m.power == 1 else f"{kind}^{m.power}")
+    if isinstance(m, Iota1Power) and m.after_iota3:
         return f"{head} . iota3" if head else "iota3"
     return head or "id"
 
@@ -321,37 +326,26 @@ def edge_text(label: EdgeLabel) -> str:
     return " x ".join(pieces) if pieces else "id"
 
 
+def _dot_id(name: str) -> str:
+    """A node name as a quoted DOT id, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(d: ColimitDiagram) -> str:
     lines = ["digraph colimit {", "  rankdir=LR;"]
     for node in d.nodes:
-        lines.append(f'  "{node.name}" [label="{node_text(node.blocks)}"];')
+        lines.append(f'  {_dot_id(node.name)} [label="{node_text(node.blocks)}"];')
     for edge in d.edges:
         lines.append(
-            f'  "{edge.source}" -> "{edge.target}" '
+            f'  {_dot_id(edge.source)} -> {_dot_id(edge.target)} '
             f'[label="{edge_text(edge.label)}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _factor_to_json(f: FactorLabel) -> dict:
-    if isinstance(f, BSp):
-        return {"kind": "BSp", "n": f.n}
-    if isinstance(f, BSU):
-        return {"kind": "BSU", "n": f.n}
-    if isinstance(f, CPInfPower):
-        return {"kind": "CP", "k": f.k}
-    return {"kind": "point"}
-
-
-def _lie_to_json(m: LieMap | None) -> dict | None:
-    if m is None:
-        return None
-    if isinstance(m, FromPoint):
-        return {"kind": "from_point"}
-    if isinstance(m, Iota2Power):
-        return {"kind": "iota2", "power": m.power}
-    return {"kind": "iota1", "power": m.power, "after_iota3": m.after_iota3}
+def _kind_to_json(value: FactorLabel | LieMap) -> dict:
+    return {"kind": _KIND_NAMES[type(value)], **vars(value)}
 
 
 def emit_json(d: ColimitDiagram) -> str:
@@ -364,7 +358,7 @@ def emit_json(d: ColimitDiagram) -> str:
                 "factors": [
                     {
                         "block": bl.block,
-                        "factor": _factor_to_json(bl.factor),
+                        "factor": _kind_to_json(bl.factor),
                         "cp_vertices": list(bl.cp_vertices),
                         "lie_vertices": list(bl.lie_vertices),
                     }
@@ -382,7 +376,7 @@ def emit_json(d: ColimitDiagram) -> str:
                 "maps": [
                     {
                         "block": bm.block,
-                        "lie": _lie_to_json(bm.lie),
+                        "lie": None if bm.lie is None else _kind_to_json(bm.lie),
                         "cp": None
                         if bm.cp is None
                         else {
@@ -426,37 +420,23 @@ def _ids(obj: object, key: str, ctx: str) -> tuple[str, ...]:
     return _id_tuple(_need(obj, key, ctx), f"{ctx} {key!r}")
 
 
-def _factor_from_json(obj: object) -> FactorLabel:
-    kind = _need(obj, "kind", "factor")
-    if kind == "BSp":
-        return BSp(_typed(obj, "n", "factor", int))
-    if kind == "BSU":
-        return BSU(_typed(obj, "n", "factor", int))
-    if kind == "CP":
-        return CPInfPower(_typed(obj, "k", "factor", int))
-    if kind == "point":
-        return Point()
-    raise MalformedInput(f"unknown factor kind {kind!r}")
-
-
-def _lie_from_json(obj: object) -> LieMap | None:
-    if obj is None:
-        return None
-    kind = _need(obj, "kind", "map")
-    if kind == "from_point":
-        return FromPoint()
-    if kind == "iota2":
-        return Iota2Power(_typed(obj, "power", "map", int))
-    if kind == "iota1":
-        return Iota1Power(
-            _typed(obj, "power", "map", int), _typed(obj, "after_iota3", "map", bool)
-        )
-    raise MalformedInput(f"unknown map kind {kind!r}")
+def _kind_from_json(
+    obj: object, kinds: dict[str, type], what: str
+) -> FactorLabel | LieMap:
+    """The kinds[obj["kind"]] value whose fields obj holds, each of its
+    declared JSON type."""
+    kind = _need(obj, "kind", what)
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise MalformedInput(f"unknown {what} kind {kind!r}")
+    return cls(*(_typed(obj, name, what, typ) for name, typ in _FIELDS[cls]))
 
 
 def _block_map_from_json(m: object) -> BlockMap:
     block = _typed(m, "block", "edge map", int)
-    lie = _lie_from_json(_need(m, "lie", "edge map"))
+    lie = _need(m, "lie", "edge map")
+    if lie is not None:
+        lie = _kind_from_json(lie, MAP_KINDS, "map")
     cp = m.get("cp")
     if cp is not None:
         cp = CPInclusion(_ids(cp, "source", "cp map"), _ids(cp, "target", "cp map"))
@@ -495,7 +475,9 @@ def _diagram_from_obj(obj: object) -> ColimitDiagram:
         blocks = tuple(
             BlockLabel(
                 _typed(f, "block", "node factor", int),
-                _factor_from_json(_need(f, "factor", "node factor")),
+                _kind_from_json(
+                    _need(f, "factor", "node factor"), FACTOR_KINDS, "factor"
+                ),
                 _ids(f, "cp_vertices", "node factor"),
                 _ids(f, "lie_vertices", "node factor"),
             )

@@ -307,7 +307,9 @@ def verify_construction(
                 break
         report.node_checks.append(check)
 
-    labels = {n.name: n for n in diagram.nodes}
+    # By simplex, not by name: node_name joins ids with "_", so the names of
+    # {a, b} and {a_b} coincide.
+    labels = {n.simplex: n.blocks for n in diagram.nodes}
     for e in diagram.edges:
         src = frozenset(e.label.source)
         projection = tuple(
@@ -320,7 +322,7 @@ def verify_construction(
             continue
         try:
             want_maps = expected_block_maps(
-                labels[e.source].blocks, labels[e.target].blocks
+                labels[e.label.source], labels[e.label.target]
             )
         except (KeyError, NoCanonicalMap) as err:
             report.edge_checks.append(

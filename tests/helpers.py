@@ -14,21 +14,22 @@ from typing import Iterable, Sequence
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from srrealize import (
-    CONSTRUCTIBLE,
+from srrealize import classify, make_complex
+from srrealize.admissible import CONSTRUCTIBLE
+from srrealize.complexes import (
     ComplexWithDegrees,
-    HilbertFunction,
-    Partition,
     Simplex,
     VertexDecl,
     all_faces,
-    classify,
-    free_hilbert,
-    make_complex,
     simplex_key,
+)
+from srrealize.decide import Partition
+from srrealize.hilbert import (
+    HilbertFunction,
+    check_truncation,
+    free_hilbert,
     sr_hilbert,
 )
-from srrealize.hilbert import check_truncation
 from srrealize.verify import DegreeRow, StepRecord, VerificationReport
 
 # Property tests run a fixed example sequence, so a run is repeatable, and

@@ -3,7 +3,9 @@
 Ten criteria, one test each, run in file order; every test prints a single
 ``criterion N: PASS``/``FAIL`` line (visible with ``pytest -s``).  The random
 family is generated once with a fixed seed and shared by criteria 5, 6 and 9.
+A last test pins the package's exports to the README's Library section.
 """
+import inspect
 import json
 import os
 import random
@@ -12,32 +14,31 @@ import sys
 from collections import Counter
 
 from srrealize import (
+    NotRealizable,
+    Realizable,
+    SufficientOnly,
+    build_diagram,
+    classify,
+    full_report,
+    verify_construction,
+)
+from srrealize.admissible import (
     AdemP3,
-    BSp,
-    BSU,
     Exceptional,
     Inadmissible,
-    NotRealizable,
-    Partition,
-    Realizable,
     SpType,
-    SufficientOnly,
     SUType,
     TableMiss,
     ThomasRank,
-    build_diagram,
-    classify,
     dirichlet_prime,
     exceptional_degrees,
-    find_partition,
-    full_report,
-    pushout_recurrence_check,
     sp_degrees,
-    sr_hilbert,
     su_degrees,
-    verify_construction,
 )
-from srrealize.diagram import edge_text, node_text
+from srrealize.decide import Partition, find_partition
+from srrealize.diagram import BSp, BSU, edge_text, node_text
+from srrealize.hilbert import sr_hilbert
+from srrealize.verify import pushout_recurrence_check
 
 from helpers import (
     antichain_complexes_24,
@@ -240,3 +241,18 @@ def test_criterion_10_determinism():
         b = run_cli(args, json.dumps(flipped)).stdout
         ok = ok and a == b and a != ""
     report(10, ok)
+
+
+def test_package_exports_the_readme_library_names():
+    import srrealize
+
+    exported = {
+        n for n, v in vars(srrealize).items()
+        if not n.startswith("_") and not inspect.ismodule(v)
+    }
+    assert exported == {
+        "make_complex", "complex_from_json", "full_report", "Realizable",
+        "SufficientOnly", "NotRealizable", "HypothesisViolated", "Unknown",
+        "build_diagram", "verify_construction", "classify",
+    }
+    assert srrealize.__version__ == "0.1.0"

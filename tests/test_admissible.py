@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from srrealize import (
+from srrealize import classify
+from srrealize.admissible import (
     AdemP3,
     Exceptional,
     Inadmissible,
@@ -16,7 +17,6 @@ from srrealize import (
     adem_p3_check,
     aguade_table_member,
     class_degrees,
-    classify,
     dirichlet_prime,
     exceptional_degrees,
     sp_degrees,

@@ -76,6 +76,24 @@ TORUS_BESIDE_SP = json.dumps({
     "facets": [["t", "u"], ["u", "a"]],
 })
 
+# {4, 16} passes the rank test and is killed mod 3; {4, 12} fails it.
+ADEM_416 = json.dumps({
+    "vertices": [{"id": "a", "degree": 4}, {"id": "b", "degree": 16}],
+    "facets": [["a", "b"]],
+})
+
+THOMAS_412 = json.dumps({
+    "vertices": [{"id": "a", "degree": 4}, {"id": "b", "degree": 12}],
+    "facets": [["a", "b"]],
+})
+
+# node_name joins ids with "_", so {a, b} and {a_b} are both sigma_a_b.
+COLLIDING_NAMES = json.dumps({
+    "vertices": [{"id": v, "degree": 2} for v in "abcd"]
+    + [{"id": "a_b", "degree": 4}],
+    "facets": [["a", "b", "c"], ["a", "b", "d"], ["a_b", "c"], ["a_b", "d"]],
+})
+
 
 def complex_json(c):
     return json.dumps({
@@ -245,6 +263,15 @@ class TestVerify:
         r = run(["verify"], SPLIT_46)
         assert r.returncode == 20
 
+    def test_colliding_node_names_pass(self, tmp_path):
+        assert run(["check"], COLLIDING_NAMES).returncode == 0
+        r = run(["verify"], COLLIDING_NAMES)
+        assert r.returncode == 0, json.loads(r.stdout)["first_discrepancy"]
+        path = tmp_path / "d.json"
+        path.write_text(run(["construct"], COLLIDING_NAMES).stdout)
+        r = run(["verify", "--diagram", str(path)], COLLIDING_NAMES)
+        assert r.returncode == 0, json.loads(r.stdout)["first_discrepancy"]
+
     def test_external_diagram_mutation_fails(self, tmp_path):
         built = run(["construct"], RING_468)
         obj = json.loads(built.stdout)
@@ -339,6 +366,33 @@ class TestInputHardening:
         r = run(["verify", "--diagram", str(path)], RING_468)
         assert r.returncode == 2, (case, r.stdout, r.stderr)
         assert r.stderr.startswith("error: diagram")
+
+    @pytest.mark.parametrize("where, value, stderr", [
+        ("factor", {"kind": "iota2", "power": 1}, "unknown factor kind 'iota2'"),
+        ("factor", {"kind": "from_point"}, "unknown factor kind 'from_point'"),
+        ("map", {"kind": "BSp", "n": 1}, "unknown map kind 'BSp'"),
+        ("map", {"kind": "point"}, "unknown map kind 'point'"),
+        ("factor", {"kind": ["BSp"], "n": 1}, "unknown factor kind ['BSp']"),
+        ("factor", {"kind": {"BSp": 1}, "n": 1}, "unknown factor kind {'BSp': 1}"),
+        ("map", {"kind": ["iota2"], "power": 1}, "unknown map kind ['iota2']"),
+        ("map", {"kind": {}, "power": 1}, "unknown map kind {}"),
+        ("map", {"kind": "iota1", "power": 1},
+         "diagram map is missing 'after_iota3'"),
+    ], ids=[
+        "map_kind_as_factor", "from_point_as_factor", "factor_kind_as_map",
+        "point_as_map", "list_factor_kind", "dict_factor_kind", "list_map_kind",
+        "dict_map_kind", "iota1_without_after_iota3",
+    ])
+    def test_kind_outside_its_table(self, where, value, stderr, tmp_path):
+        obj = json.loads(run(["construct"], RING_468).stdout)
+        if where == "factor":
+            obj["nodes"][0]["factors"][0]["factor"] = value
+        else:
+            obj["edges"][0]["maps"][0]["lie"] = value
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(obj))
+        r = run(["verify", "--diagram", str(path)], RING_468)
+        assert (r.returncode, r.stderr) == (2, f"error: {stderr}\n")
 
     def test_max_degree_above_cap(self):
         r = run(["verify", "--max-degree", "10002"], RING_468)
@@ -677,10 +731,7 @@ class TestObstruct:
         assert got == {("x4",): "Sp", ("x4", "x6"): "SU", ("x4", "x8"): "Sp"}
 
     def test_thomas_reason_serialization(self):
-        src = json.dumps({
-            "vertices": [{"id": "a", "degree": 4}, {"id": "b", "degree": 12}],
-            "facets": [["a", "b"]],
-        })
+        src = THOMAS_412
         r = run(["obstruct"], src)
         obj = json.loads(r.stdout)
         facet_entry = next(
@@ -806,6 +857,76 @@ class TestCheckConstructGoldenBytes:
         r = run([cmd, "--format", fmt], stdin)
         assert r.returncode == code
         assert r.stderr == stderr
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+class TestPartitionObstructPrimeGoldenBytes:
+    """sha256 of stdout and the exit code of `partition`, `obstruct` and
+    `prime`, recorded while every command still wrote its own JSON and
+    text branches; stderr stays empty."""
+
+    @pytest.mark.parametrize("cmd, name, fmt, code, digest", [
+        ("partition", "RING_468", "json", 0,
+         "ca4a6d6d2845eb22937e4c3223f133f967e1d27a477f59fb77193280dac6c07e"),
+        ("partition", "RING_468", "text", 0,
+         "4f20a3488ca8602c2142cb001c82b1467714f1a613e09eedb1d64d5f63484e6b"),
+        ("partition", "PAIR_44", "json", 0,
+         "ede60392b48be583d73332cb1ba946e0a7ab45a2ca7abef1192ff8fd55539986"),
+        ("partition", "PAIR_44", "text", 0,
+         "f206c6435a91879789774e7cc80d4cf092d146af29514b34c7506df94a41a2d4"),
+        ("partition", "SPLIT_46", "json", 1,
+         "c9cccbd7e184e2959380fce713752794443faba4ea2c13d4cc907c703c938a1e"),
+        ("partition", "SPLIT_46", "text", 1,
+         "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+        ("partition", "BLOCKED_PAIR", "json", 1,
+         "c9cccbd7e184e2959380fce713752794443faba4ea2c13d4cc907c703c938a1e"),
+        ("partition", "BLOCKED_PAIR", "text", 1,
+         "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+        ("obstruct", "RING_468", "json", 0,
+         "174a998ec7f2f168cda9a7cf7f305c3a28901eb10f62f9b3cdf9399deaf68d1e"),
+        ("obstruct", "RING_468", "text", 0,
+         "30bc700b3fe4353d673f4173245dd075f2dcd079190aa697e84dfbd91979f17b"),
+        ("obstruct", "PAIR_44", "json", 0,
+         "d1948003738ff4100e1ed5e4d288e837f91eb679db12dff83226503d1c38072b"),
+        ("obstruct", "PAIR_44", "text", 0,
+         "831738d3a5e68add519a1b44ccc70ce316e4032db796000dba3d8c9f2c31a3a9"),
+        ("obstruct", "SPLIT_46", "json", 0,
+         "54ebe4c469d70b80583ce3b7e8d101889771d46ca4937b8ae546f7d993af0165"),
+        ("obstruct", "SPLIT_46", "text", 0,
+         "74e81705e1bcfb8b7d7acf456180ec7ab9a74cb81b37fde8b1e493787eef5bba"),
+        ("obstruct", "BLOCKED_PAIR", "json", 0,
+         "12aa51ef8d86ad536c7129560968d977ca067983e819d6f110f0502197740453"),
+        ("obstruct", "BLOCKED_PAIR", "text", 0,
+         "4d512f7ce7f4f486b4a94d35900d1fbbe0ada121cdc7770c0b0a475d91838764"),
+        ("obstruct", "EXCEPTIONAL", "json", 0,
+         "8f045b678d2a5ea0594cf7c8c1488273359b64529b369e2315bdfdcae5f656e7"),
+        ("obstruct", "EXCEPTIONAL", "text", 0,
+         "3d30c035a34082e5b6dc5cc74fb1be3a4d73034cc1a923ed262e4a356e41dcc2"),
+        ("obstruct", "ADEM_416", "json", 0,
+         "86cba6e94dc5d875e7c8c9b744c3bdc5032275ef64bc831d08b108d5fcc47310"),
+        ("obstruct", "ADEM_416", "text", 0,
+         "35aa9bdbc97f4648cb3805999578585106c070f52b6f71c93ee99999a580fd8f"),
+        ("obstruct", "THOMAS_412", "json", 0,
+         "70ff8318584da619b5217267b0fd9983b17656cf88b629602a213f6d4a411346"),
+        ("obstruct", "THOMAS_412", "text", 0,
+         "852e011c7ee7f9fbf3e973adc6163ba8677e97467f05c0ca807ea4a8d46e6f85"),
+        ("prime", None, "json", 0,
+         "6235ea367ea8484349965355ed2d75e2aeaf0776bf7dc0b3af8954c593912e38"),
+        ("prime", None, "text", 0,
+         "2e37d580b0d9283aa400afb184b2cc1094eb00a05ffbbfa799e29f98fad6535b"),
+    ])
+    def test_stdout_and_exit(self, cmd, name, fmt, code, digest):
+        if cmd == "prime":
+            r = run(["prime", "--gt", "1000", "--extra", "11", "--format", fmt])
+        else:
+            stdin = {
+                "RING_468": RING_468, "SPLIT_46": SPLIT_46, "PAIR_44": PAIR_44,
+                "EXCEPTIONAL": EXCEPTIONAL, "BLOCKED_PAIR": BLOCKED_PAIR,
+                "ADEM_416": ADEM_416, "THOMAS_412": THOMAS_412,
+            }[name]
+            r = run([cmd, "--format", fmt], stdin)
+        assert r.returncode == code
+        assert r.stderr == ""
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given
 
-from srrealize import (
+from srrealize import complex_from_json, make_complex
+from srrealize.complexes import (
     ComplexError,
     ComplexWithDegrees,
     DuplicateVertex,
@@ -17,8 +18,6 @@ from srrealize import (
     UnknownVertexInFacet,
     VertexDecl,
     all_faces,
-    complex_from_json,
-    make_complex,
     pmax,
     simplex_key,
 )

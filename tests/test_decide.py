@@ -7,27 +7,31 @@ import pytest
 from hypothesis import given
 
 from srrealize import (
+    HypothesisViolated,
+    NotRealizable,
+    Realizable,
+    SufficientOnly,
+    Unknown,
+    classify,
+    full_report,
+    make_complex,
+)
+from srrealize.admissible import (
     CONSTRUCTIBLE,
     Exceptional,
-    HypothesisViolated,
-    HypothesisViolatedError,
-    NotRealizable,
-    Partition,
-    Realizable,
     SpType,
-    SufficientOnly,
     SUType,
     TableMiss,
     Torus,
-    Unknown,
+)
+from srrealize.complexes import pmax
+from srrealize.decide import (
+    HypothesisViolatedError,
+    Partition,
     check_main_hypothesis,
-    classify,
     decide_main,
     find_partition,
-    full_report,
-    make_complex,
     necessary_condition,
-    pmax,
 )
 from srrealize import decide
 

@@ -1,9 +1,19 @@
 """Diagram construction: node labels, edge maps, DOT and JSON emission."""
+import json
 import random
 
 import pytest
 
 from srrealize import (
+    Realizable,
+    SufficientOnly,
+    build_diagram,
+    full_report,
+    make_complex,
+)
+from srrealize.complexes import MalformedInput, pmax
+from srrealize.decide import Partition
+from srrealize.diagram import (
     BSU,
     BlockLabel,
     BlockMap,
@@ -11,28 +21,27 @@ from srrealize import (
     ColimitDiagram,
     CPInclusion,
     CPInfPower,
+    DiagramEdge,
+    DiagramNode,
+    EdgeLabel,
+    FACTOR_KINDS,
     FromPoint,
     InadmissibleSimplex,
     Iota1Power,
     Iota2Power,
-    MalformedInput,
+    MAP_KINDS,
     NoCanonicalMap,
-    Partition,
     Point,
-    Realizable,
-    SufficientOnly,
-    build_diagram,
     diagram_from_json,
     emit_dot,
     emit_json,
     expected_block_maps,
-    full_report,
     label_node,
-    make_complex,
     node_name,
-    pmax,
+    check_partition,
+    edge_text,
+    node_text,
 )
-from srrealize.diagram import check_partition, edge_text, node_text
 
 from helpers import random_complex, ring_468, ring_double_fan, ring_fan6, ring_split46
 
@@ -303,9 +312,43 @@ class TestEmission:
         d = diagram_for(c)
         assert diagram_from_json(emit_json(d)) == d
 
-    def test_json_shape(self):
-        import json
+    def test_dot_escapes_quotes_and_backslashes_in_ids(self):
+        c = make_complex({'x"4': 4, "x\\6": 6}, [{'x"4', "x\\6"}])
+        dot = emit_dot(diagram_for(c))
+        assert dot.splitlines()[2] == r'  "sigma_x\"4_x\\6" [label="BSU(3)"];'
 
+    def test_every_kind_round_trips(self):
+        factors = [
+            (BSp(2), {"kind": "BSp", "n": 2}),
+            (BSU(3), {"kind": "BSU", "n": 3}),
+            (CPInfPower(2), {"kind": "CP", "k": 2}),
+            (Point(), {"kind": "point"}),
+        ]
+        maps = [
+            (FromPoint(), {"kind": "from_point"}),
+            (Iota2Power(1), {"kind": "iota2", "power": 1}),
+            (Iota1Power(2, True), {"kind": "iota1", "power": 2, "after_iota3": True}),
+        ]
+        assert FACTOR_KINDS == {j["kind"]: type(f) for f, j in factors}
+        assert MAP_KINDS == {j["kind"]: type(m) for m, j in maps}
+        node = DiagramNode("n", (), tuple(
+            BlockLabel(i, f, (), ()) for i, (f, _) in enumerate(factors)
+        ))
+        maps_label = tuple(BlockMap(i, m, None) for i, (m, _) in enumerate(maps))
+        edge = DiagramEdge("n", "n", EdgeLabel((), (), maps_label, ()))
+        d = ColimitDiagram(Partition((("a",),)), (node,), (edge,))
+        text = emit_json(d)
+        obj = json.loads(text)
+        # key order too: the bytes of emit_json are part of its format
+        assert [list(f["factor"].items()) for f in obj["nodes"][0]["factors"]] == [
+            list(j.items()) for _, j in factors
+        ]
+        assert [list(m["lie"].items()) for m in obj["edges"][0]["maps"]] == [
+            list(j.items()) for _, j in maps
+        ]
+        assert diagram_from_json(text) == d
+
+    def test_json_shape(self):
         obj = json.loads(emit_json(diagram_for(ring_468())))
         assert set(obj) == {"partition", "nodes", "edges"}
         assert obj["partition"] == [["x4", "x6", "x8"]]

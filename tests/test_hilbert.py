@@ -4,14 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from srrealize import (
-    HilbertFunction,
-    NotAFace,
-    free_hilbert,
-    make_complex,
-    sr_hilbert,
-)
-from srrealize.hilbert import MAX_TRUNCATION
+from srrealize import make_complex
+from srrealize.complexes import NotAFace
+from srrealize.hilbert import MAX_TRUNCATION, HilbertFunction, free_hilbert, sr_hilbert
 
 from helpers import (
     PROPERTY,

@@ -6,26 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srrealize import (
-    BSp,
-    BSU,
-    BlockLabel,
-    BlockMap,
-    Iota2Power,
-    Partition,
-    Point,
     Realizable,
     SufficientOnly,
     build_diagram,
-    find_partition,
     full_report,
     make_complex,
-    pmax,
-    pushout_recurrence_check,
-    sr_hilbert,
     verify_construction,
 )
-from srrealize.hilbert import bitmasks, mobius_hilbert
-from srrealize.verify import _label_degrees
+from srrealize.complexes import pmax
+from srrealize.decide import Partition, find_partition
+from srrealize.diagram import BSp, BSU, BlockLabel, BlockMap, Iota2Power, Point
+from srrealize.hilbert import bitmasks, mobius_hilbert, sr_hilbert
+from srrealize.verify import _label_degrees, pushout_recurrence_check
 
 from helpers import (
     PROPERTY,
