@@ -44,11 +44,10 @@ from .diagram import ColimitDiagram, build_diagram, diagram_from_json, emit_dot,
 from .hilbert import MAX_TRUNCATION, check_truncation
 from .verify import verify_construction
 
-EXIT_REALIZABLE = 0
-EXIT_SUFFICIENT = 10
-EXIT_NOT_REALIZABLE = 20
-EXIT_UNKNOWN = 30
-EXIT_HYPOTHESIS = 40
+VERDICT_EXIT = {
+    Realizable: 0, SufficientOnly: 10, NotRealizable: 20, Unknown: 30,
+    HypothesisViolated: 40,
+}
 EXIT_INPUT_ERROR = 2
 
 
@@ -94,49 +93,24 @@ def class_to_text(cls: AdmissibleClass) -> str:
 
 
 def verdict_to_json(v: Verdict) -> dict:
+    j: dict = {"verdict": type(v).__name__}
+    if isinstance(v, (Realizable, SufficientOnly)):
+        j["partition"] = [list(b) for b in v.partition.blocks]
     if isinstance(v, Realizable):
-        return {
-            "verdict": "Realizable",
-            "partition": [list(b) for b in v.partition.blocks],
-            "per_sigma": [
-                {"simplex": sorted(s), "class": class_to_json(cls)}
-                for s, cls in v.per_sigma
-            ],
-        }
-    if isinstance(v, SufficientOnly):
-        return {
-            "verdict": "SufficientOnly",
-            "partition": [list(b) for b in v.partition.blocks],
-        }
-    if isinstance(v, NotRealizable):
+        j["per_sigma"] = [
+            {"simplex": sorted(s), "class": class_to_json(cls)}
+            for s, cls in v.per_sigma
+        ]
+    elif isinstance(v, NotRealizable):
+        j["witness"] = sorted(v.witness)
         if isinstance(v.reason, Exceptional):
-            reason = {"kind": "FamilyMismatch", "class": class_to_json(v.reason)}
+            j["reason"] = {"kind": "FamilyMismatch", "class": class_to_json(v.reason)}
         else:
-            reason = reason_to_json(v.reason)
-        return {
-            "verdict": "NotRealizable",
-            "witness": sorted(v.witness),
-            "reason": reason,
-        }
-    if isinstance(v, HypothesisViolated):
-        return {
-            "verdict": "HypothesisViolated",
-            "pair": list(v.pair),
-            "shared_power_degree": v.shared_power_degree,
-        }
-    return {"verdict": "Unknown"}
-
-
-def verdict_exit(v: Verdict) -> int:
-    if isinstance(v, Realizable):
-        return EXIT_REALIZABLE
-    if isinstance(v, SufficientOnly):
-        return EXIT_SUFFICIENT
-    if isinstance(v, NotRealizable):
-        return EXIT_NOT_REALIZABLE
-    if isinstance(v, HypothesisViolated):
-        return EXIT_HYPOTHESIS
-    return EXIT_UNKNOWN
+            j["reason"] = reason_to_json(v.reason)
+    elif isinstance(v, HypothesisViolated):
+        j["pair"] = list(v.pair)
+        j["shared_power_degree"] = v.shared_power_degree
+    return j
 
 
 def _read_input(path: str) -> str:
@@ -172,8 +146,8 @@ def _diagram_or_exit_code(c: ComplexWithDegrees) -> ColimitDiagram | int:
     verdict = full_report(c)
     if isinstance(verdict, (Realizable, SufficientOnly)):
         return build_diagram(c, verdict.partition)
-    sys.stderr.write(f"no diagram: verdict is {verdict_to_json(verdict)['verdict']}\n")
-    return verdict_exit(verdict)
+    sys.stderr.write(f"no diagram: verdict is {type(verdict).__name__}\n")
+    return VERDICT_EXIT[type(verdict)]
 
 
 def _check_text(j: dict) -> str:
@@ -191,7 +165,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict = full_report(complex_from_json(_read_input(args.input)))
     j = verdict_to_json(verdict)
     _emit(args, j, lambda: _check_text(j))
-    return verdict_exit(verdict)
+    return VERDICT_EXIT[type(verdict)]
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

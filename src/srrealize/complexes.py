@@ -88,6 +88,11 @@ class ComplexWithDegrees:
         """The facet-intersection poset, built once per complex."""
         return pmax(self)
 
+    @cached_property
+    def covers(self) -> tuple[tuple[Simplex, Simplex], ...]:
+        """The poset's covering pairs, computed once per complex."""
+        return self.poset.covers()
+
     def degree(self, vertex: str) -> int:
         try:
             return self.degree_map[vertex]
@@ -186,20 +191,12 @@ class MaxIntersectionPoset:
 
 
 def pmax(c: ComplexWithDegrees) -> MaxIntersectionPoset:
-    """Compute the facet-intersection poset by closing the facet set under
-    pairwise intersection (which yields all intersections of nonempty facet
-    subsets)."""
-    els: set[Simplex] = set(c.facets)
-    frontier = set(c.facets)
-    while frontier:
-        new: set[Simplex] = set()
-        for a in frontier:
-            for f in c.facets:
-                i = a & f
-                if i not in els and i not in new:
-                    new.add(i)
-        els |= new
-        frontier = new
+    """Compute the facet-intersection poset one facet at a time: with the
+    intersections of every nonempty subset of the earlier facets in els,
+    those that use facet f too are f itself and f & e for e in els."""
+    els: set[Simplex] = set()
+    for f in c.facets:
+        els |= {f & e for e in els} | {f}
     return MaxIntersectionPoset(tuple(sorted(els, key=simplex_key)))
 
 

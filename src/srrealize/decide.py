@@ -4,7 +4,8 @@ decide_main implements the complete decision available under the hypothesis
 that no two distinct generators whose common degree is a power of two >= 4
 have nonzero product: the ring is an integral cohomology ring exactly when
 every element of the facet-intersection poset has a Torus, SUType or SpType
-degree multiset.
+degree multiset.  In a Stanley-Reisner ring xy != 0 iff x and y share a
+facet, so one scan over the facets decides the hypothesis (_shared_pair).
 
 When that hypothesis fails the engine falls back to two one-sided tools:
 a vertex partition certifying realizability block by block (sufficient), and
@@ -80,37 +81,28 @@ class Unknown:
 Verdict = Realizable | NotRealizable | HypothesisViolated | SufficientOnly | Unknown
 
 
-class HypothesisViolatedError(Exception):
-    """Two degree-4 generators share a face, so the necessary condition
-    does not apply."""
-
-    def __init__(self, pair: tuple[str, str]):
-        super().__init__(f"degree-4 generators {pair[0]!r} and {pair[1]!r} share a face")
-        self.pair = pair
-
-
-def _is_power_of_two_ge4(d: int) -> bool:
-    return d >= 4 and d & (d - 1) == 0
+def _shared_pair(c: ComplexWithDegrees, degrees: set[int]) -> tuple[str, str] | None:
+    """The least pair x < y of vertices sharing a facet and one degree in
+    degrees, or None.  Per facet, the vertices of each degree in id order
+    form a group whose least pair is its first two."""
+    pairs = []
+    for f in c.facets:
+        groups: dict[int, list[str]] = {}
+        for v in sorted(f):
+            if c.degree(v) in degrees:
+                groups.setdefault(c.degree(v), []).append(v)
+        pairs += [(g[0], g[1]) for g in groups.values() if len(g) > 1]
+    return min(pairs, default=None)
 
 
 def check_main_hypothesis(c: ComplexWithDegrees) -> tuple[str, str, int] | None:
     """First pair of distinct vertices x < y with equal degree 2^i (i >= 2)
     spanning a face, or None when the main hypothesis holds."""
-    ids = c.sorted_ids
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            x, y = ids[a], ids[b]
-            d = c.degree(x)
-            if d == c.degree(y) and _is_power_of_two_ge4(d):
-                if c.is_face({x, y}):
-                    return (x, y, d.bit_length() - 1)
-    return None
-
-
-def _single_block_partition(c: ComplexWithDegrees) -> Partition:
-    if not c.sorted_ids:
-        return Partition(())
-    return Partition((c.sorted_ids,))
+    powers = {d for d in c.degree_map.values() if d >= 4 and d & (d - 1) == 0}
+    pair = _shared_pair(c, powers)
+    if pair is None:
+        return None
+    return (*pair, c.degree(pair[0]).bit_length() - 1)
 
 
 def decide_main(c: ComplexWithDegrees) -> Verdict:
@@ -131,21 +123,17 @@ def decide_main(c: ComplexWithDegrees) -> Verdict:
             return NotRealizable(s, cls.reason)
         else:
             return NotRealizable(s, cls)
-    return Realizable(_single_block_partition(c), tuple(per))
+    return Realizable(Partition((c.sorted_ids,) if c.sorted_ids else ()), tuple(per))
 
 
-def necessary_condition(c: ComplexWithDegrees) -> Simplex | None:
-    """None when every poset element classifies into one of the four
-    admissible families; otherwise the first violating simplex.  Raises
-    HypothesisViolatedError when two degree-4 generators share a face."""
-    four = [v for v in c.sorted_ids if c.degree(v) == 4]
-    for a in range(len(four)):
-        for b in range(a + 1, len(four)):
-            if c.is_face({four[a], four[b]}):
-                raise HypothesisViolatedError((four[a], four[b]))
+def necessary_condition(c: ComplexWithDegrees) -> NotRealizable | None:
+    """The first poset element that classifies into none of the four
+    admissible families, with its reason, or None when every element does.
+    A refutation only while no two degree-4 generators share a face."""
     for s in c.poset.elements:
-        if isinstance(classify(c.degree_multiset(s)), Inadmissible):
-            return s
+        cls = classify(c.degree_multiset(s))
+        if isinstance(cls, Inadmissible):
+            return NotRealizable(s, cls.reason)
     return None
 
 
@@ -302,6 +290,10 @@ def full_report(c: ComplexWithDegrees) -> Verdict:
     """decide_main's verdict, or, when the main hypothesis fails, the best
     the partition search and the necessary condition can say.
 
+    xy != 0 iff x and y share a facet, so one scan over the facets
+    (_shared_pair) decides both the main hypothesis and whether the
+    necessary condition applies (no two degree-4 generators on a facet).
+
     Under the hypothesis a refutation is final.  If element s is not
     constructible, a partition must split its vertices of degree > 2 over
     two or more blocks (degree-2 vertices never decide a class), and each
@@ -316,12 +308,6 @@ def full_report(c: ComplexWithDegrees) -> Verdict:
     part = find_partition(c)
     if part is not None:
         return SufficientOnly(part)
-    try:
-        witness = necessary_condition(c)
-    except HypothesisViolatedError:
+    if _shared_pair(c, {4}) is not None:
         return verdict
-    if witness is not None:
-        cls = classify(c.degree_multiset(witness))
-        assert isinstance(cls, Inadmissible)
-        return NotRealizable(witness, cls.reason)
-    return Unknown()
+    return necessary_condition(c) or Unknown()

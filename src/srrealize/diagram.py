@@ -281,7 +281,7 @@ def build_diagram(c: ComplexWithDegrees, partition: Partition) -> ColimitDiagram
             expected_block_maps(labels[s], labels[t]),
             tuple((v, v if v in s else None) for v in simplex_key(t)),
         ))
-        for s, t in poset.covers()
+        for s, t in c.covers
     )
     return ColimitDiagram(partition, nodes, edges)
 

@@ -249,16 +249,15 @@ def _label_degrees(blocks: SpaceLabel, truncation: int) -> DegreeMultiset:
 def verify_construction(
     c: ComplexWithDegrees, diagram: ColimitDiagram, truncation: int
 ) -> VerificationReport:
-    """Full verification: the partition's blocks are disjoint, cover the
-    vertex set and list their ids in strictly ascending order, their
-    canonical form; (a) node labels bind each generator to the vertex of
-    the right block (_binding_issues) and carry the free cohomology of
+    """Full verification: the partition's blocks are nonempty and disjoint,
+    cover the vertex set and list their ids in strictly ascending order,
+    their canonical form; (a) node labels bind each generator to the vertex
+    of the right block (_binding_issues) and carry the free cohomology of
     their simplices, (b) edge maps restrict to the Stanley-Reisner
     projections on generators, (c) the gluing recurrence holds up to the
     truncation."""
     report = VerificationReport(truncation)
-    poset = c.poset
-    expected_nodes = [(node_name(s), simplex_key(s)) for s in poset.elements]
+    expected_nodes = [(node_name(s), simplex_key(s)) for s in c.poset.elements]
     got_nodes = [(n.name, n.simplex) for n in diagram.nodes]
     if got_nodes != expected_nodes:
         report.structure_issues.append(
@@ -266,7 +265,7 @@ def verify_construction(
         )
     expected_edges = [
         (node_name(s), node_name(t), simplex_key(s), simplex_key(t))
-        for s, t in poset.covers()
+        for s, t in c.covers
     ]
     got_edges = [
         (e.source, e.target, e.label.source, e.label.target) for e in diagram.edges
@@ -289,6 +288,8 @@ def verify_construction(
         report.structure_issues.append(
             "diagram partition blocks are not in strictly ascending id order"
         )
+    if not all(diagram.partition.blocks):
+        report.structure_issues.append("diagram partition has an empty block")
 
     for node in diagram.nodes:
         simplex = frozenset(node.simplex)

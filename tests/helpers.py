@@ -4,7 +4,8 @@ The oracles deliberately avoid the package's fast paths: counting is done by
 plain recursion over exponents or face by face, poset elements by
 intersecting every facet subset, covering pairs by testing every triple, the
 pushout recurrence by rebuilding every prefix complex, partitions by
-listing every set partition, and primes by trial division.
+listing every set partition, the main hypothesis by testing every vertex
+pair for a face, and primes by trial division.
 """
 from __future__ import annotations
 
@@ -164,6 +165,21 @@ def naive_covers(
         for t in elements
         if s < t and not any(s < r < t for r in elements)
     )
+
+
+def pairwise_main_hypothesis(c: ComplexWithDegrees) -> tuple[str, str, int] | None:
+    """decide.check_main_hypothesis by testing every pair of distinct
+    vertices x < y in id order: the first with equal degree 2^i (i >= 2)
+    that spans a face, as (x, y, i)."""
+    ids = c.sorted_ids
+    for a in range(len(ids)):
+        for b in range(a + 1, len(ids)):
+            x, y = ids[a], ids[b]
+            d = c.degree(x)
+            if d == c.degree(y) and d >= 4 and d & (d - 1) == 0:
+                if c.is_face({x, y}):
+                    return (x, y, d.bit_length() - 1)
+    return None
 
 
 def brute_pmax(c: ComplexWithDegrees) -> list[Simplex]:

@@ -612,6 +612,26 @@ class TestBindingMutations:
             "diagram partition blocks are not in strictly ascending id order"
         )
 
+    def test_empty_block_fails(self, tmp_path):
+        # an extra empty block, a point factor for it at every node and no
+        # map on every edge agree with everything else the diagram claims
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        complex_path.write_text(RING_468)
+        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
+        obj = json.loads(diagram_path.read_text())
+        obj["partition"].append([])
+        for node in obj["nodes"]:
+            node["factors"].append({"block": 1, "factor": {"kind": "point"},
+                                    "cp_vertices": [], "lie_vertices": []})
+        for edge in obj["edges"]:
+            edge["maps"].append({"block": 1, "lie": None, "cp": None})
+        diagram_path.write_text(json.dumps(obj))
+        r = run(["verify", str(complex_path), "--diagram", str(diagram_path)])
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["first_discrepancy"] == (
+            "diagram partition has an empty block"
+        )
+
     @pytest.mark.parametrize("degree", ["0", "2"])
     def test_overlapping_blocks_fail(self, degree, tmp_path):
         # a second block {x4} with a BSp(1) factor at every node and an
@@ -655,47 +675,54 @@ class TestBindingMutations:
 
 
 class TestOnePosetPerCommand:
-    """Every command builds the facet-intersection poset once: pmax is
-    rebound in every srrealize module, the way the bench tracer wraps it,
-    and counted around one cli main call."""
+    """Every command builds the facet-intersection poset once and its
+    covering pairs at most once: pmax is rebound in every srrealize module
+    and MaxIntersectionPoset.covers on its class, the way the bench tracer
+    wraps them, and both are counted around one cli main call."""
 
-    @pytest.mark.parametrize("args, text", [
-        (["check"], RING_468),
-        (["construct"], RING_468),
-        (["verify"], RING_468),
-        (["verify", "--diagram"], RING_468),
-        (["partition"], RING_468),
-        (["obstruct"], RING_468),
-        (["construct"], PAIR_44),
+    @pytest.mark.parametrize("args, text, ncovers", [
+        (["check"], RING_468, 0),
+        (["construct"], RING_468, 1),
+        (["verify"], RING_468, 1),  # build_diagram and verify_construction
+        (["verify", "--diagram"], RING_468, 1),
+        (["partition"], RING_468, 0),
+        (["obstruct"], RING_468, 0),
+        (["construct"], PAIR_44, 1),
         (["check"], json.dumps({
             "vertices": [{"id": "a", "degree": 8}, {"id": "b", "degree": 8}],
             "facets": [["a", "b"]],
-        })),
+        }), 0),
     ], ids=[
         "check-RING_468", "construct-RING_468", "verify-RING_468",
         "verify_diagram-RING_468", "partition-RING_468", "obstruct-RING_468",
         "construct-PAIR_44", "check-one_facet_88",
     ])
-    def test_one_pmax_call(self, args, text, tmp_path, monkeypatch):
+    def test_one_pmax_call(self, args, text, ncovers, tmp_path, monkeypatch):
         complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
         complex_path.write_text(text)
         if "--diagram" in args:
             cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
             args = args + [str(diagram_path)]
-        pmax = complexes.pmax
-        calls = []
+        pmax, covers = complexes.pmax, complexes.MaxIntersectionPoset.covers
+        calls, cover_calls = [], []
 
         def counted(c):
             calls.append(c)
             return pmax(c)
+
+        def counted_covers(poset):
+            cover_calls.append(poset)
+            return covers(poset)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "srrealize" and (
                 getattr(module, "pmax", None) is pmax
             ):
                 monkeypatch.setattr(module, "pmax", counted)
+        monkeypatch.setattr(complexes.MaxIntersectionPoset, "covers", counted_covers)
         cli_main([*args, str(complex_path), "-o", str(tmp_path / "out")])
         assert len(calls) == 1
+        assert len(cover_calls) == ncovers
 
 
 class TestPartition:

@@ -26,7 +26,6 @@ from srrealize.admissible import (
 )
 from srrealize.complexes import pmax
 from srrealize.decide import (
-    HypothesisViolatedError,
     Partition,
     check_main_hypothesis,
     decide_main,
@@ -39,6 +38,7 @@ from helpers import (
     PROPERTY,
     brute_partition_exists,
     complexes,
+    pairwise_main_hypothesis,
     random_complex,
     ring_468,
     ring_double_fan,
@@ -75,6 +75,16 @@ class TestMainHypothesis:
     def test_exceptional_multiset_violates(self):
         c = single_facet((4, 8, 8, 12))
         assert check_main_hypothesis(c) == ("g1_8", "g2_8", 3)
+
+    def test_least_pair_whatever_the_facet_order(self):
+        c = make_complex({"a": 8, "b": 8, "c": 4, "d": 4, "e": 4},
+                         [{"c", "e"}, {"b", "d"}, {"a", "b"}, {"c", "d"}])
+        assert check_main_hypothesis(c) == ("a", "b", 3)
+
+    @PROPERTY
+    @given(complexes())
+    def test_same_pair_as_testing_every_pair(self, c):
+        assert check_main_hypothesis(c) == pairwise_main_hypothesis(c)
 
 
 class TestDecideMain:
@@ -115,15 +125,12 @@ class TestNecessaryCondition:
         assert necessary_condition(ring_468()) is None
 
     def test_witness_on_split_4_6(self):
-        assert necessary_condition(ring_split46()) == frozenset({"x6"})
+        assert necessary_condition(ring_split46()) == NotRealizable(
+            frozenset({"x6"}), TableMiss()
+        )
 
     def test_exceptional_is_allowed(self):
         assert necessary_condition(single_facet((4, 8, 8, 12))) is None
-
-    def test_degree_4_pair_raises(self):
-        with pytest.raises(HypothesisViolatedError) as info:
-            necessary_condition(pair_of_4s())
-        assert info.value.pair == ("a", "b")
 
     def test_disjoint_degree_4_vertices_do_not_raise(self):
         c = make_complex({"a": 4, "b": 4}, [{"a"}, {"b"}])
@@ -280,6 +287,15 @@ class TestFullReport:
         c = make_complex({"a": 4, "b": 4, "c": 16}, [{"a", "b", "c"}])
         assert full_report(c) == HypothesisViolated(("a", "b"), 4)
 
+    def test_600_isolated_degree_4_vertices_in_under_1_s(self):
+        c = make_complex({f"v{i}": 4 for i in range(600)},
+                         [{f"v{i}"} for i in range(600)])
+        start = time.perf_counter()
+        verdict = full_report(c)
+        elapsed = time.perf_counter() - start
+        assert isinstance(verdict, Realizable)
+        assert elapsed < 1.0, elapsed
+
     def test_all_degree_2_is_always_realizable(self):
         rng = random.Random(9)
         for _ in range(40):
@@ -310,7 +326,7 @@ class TestFullReport:
             if check_main_hypothesis(c) is None and isinstance(verdict, NotRealizable):
                 refuted += 1
                 assert find_partition(c) is None, c
-                assert necessary_condition(c) == verdict.witness, c
+                assert necessary_condition(c) == verdict, c
                 assert full_report(c) == verdict
         assert refuted >= 100  # the generator must exercise the refuted path
 
