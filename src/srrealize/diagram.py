@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import get_type_hints
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, get_type_hints
 
 from .admissible import AdmissibleClass, SpType, SUType, Torus, classify
 from .complexes import (
@@ -267,19 +268,22 @@ def expected_block_maps(src: SpaceLabel, tgt: SpaceLabel) -> tuple[BlockMap, ...
 
 def build_diagram(c: ComplexWithDegrees, partition: Partition) -> ColimitDiagram:
     """Nodes for every facet-intersection poset element, edges for covering
-    relations, all in canonical order; each element is labelled once."""
+    relations, all in canonical order; each element is labelled, named and
+    keyed once."""
     check_partition(c, partition)
     poset = c.poset
     labels = {s: label_node(c, s, partition) for s in poset.elements}
+    names = {s: node_name(s) for s in poset.elements}
+    keys = {s: simplex_key(s) for s in poset.elements}
     nodes = tuple(
-        DiagramNode(node_name(s), simplex_key(s), labels[s]) for s in poset.elements
+        DiagramNode(names[s], keys[s], labels[s]) for s in poset.elements
     )
     edges = tuple(
-        DiagramEdge(node_name(s), node_name(t), EdgeLabel(
-            simplex_key(s),
-            simplex_key(t),
+        DiagramEdge(names[s], names[t], EdgeLabel(
+            keys[s],
+            keys[t],
             expected_block_maps(labels[s], labels[t]),
-            tuple((v, v if v in s else None) for v in simplex_key(t)),
+            tuple((v, v if v in s else None) for v in keys[t]),
         ))
         for s, t in c.covers
     )
@@ -344,54 +348,128 @@ def emit_dot(d: ColimitDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kind_to_json(value: FactorLabel | LieMap) -> dict:
-    return {"kind": _KIND_NAMES[type(value)], **vars(value)}
+# JSON text as json.dumps(obj, indent=2) lays it out: a container at depth d
+# puts each item on its own line at depth d + 1 and its closing bracket on a
+# line at depth d; an empty one is "[]" or "{}".
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
+_ITEM_SEP = tuple("," + nl for nl in _NEWLINE)
+
+
+def _key(name: str) -> str:
+    return encode_basestring_ascii(name) + ": "
+
+
+_KIND_HEADS = {
+    cls: (_key("kind") + encode_basestring_ascii(kind),
+          tuple((name, _key(name)) for name, _ in _FIELDS[cls]))
+    for cls, kind in _KIND_NAMES.items()
+}
+(_PARTITION, _NODES, _EDGES, _NAME, _SIMPLEX, _FACTORS, _BLOCK, _FACTOR,
+ _CP_VERTICES, _LIE_VERTICES, _FROM, _TO, _SOURCE, _TARGET, _MAPS, _LIE, _CP,
+ _GENERATOR_MAP) = map(_key, (
+    "partition", "nodes", "edges", "name", "simplex", "factors", "block",
+    "factor", "cp_vertices", "lie_vertices", "from", "to", "source", "target",
+    "maps", "lie", "cp", "generator_map"))
+
+
+def _container(open_: str, items: list[str], close: str, depth: int) -> str:
+    """Encoded items in a JSON container whose closing bracket sits at depth."""
+    if not items:
+        return open_ + close
+    return (open_ + _NEWLINE[depth + 1] + _ITEM_SEP[depth + 1].join(items)
+            + _NEWLINE[depth] + close)
+
+
+def _ids_json(ids: Iterable[str], depth: int) -> str:
+    return _container("[", [encode_basestring_ascii(v) for v in ids], "]", depth)
+
+
+def _scalar_json(value: int | bool) -> str:
+    if value is True or value is False:
+        return "true" if value else "false"
+    return int.__repr__(value)
+
+
+def _kind_json(value: FactorLabel | LieMap, depth: int) -> str:
+    head, fields = _KIND_HEADS[type(value)]
+    return _container("{", [head] + [
+        key + _scalar_json(getattr(value, name)) for name, key in fields
+    ], "}", depth)
+
+
+def _node_json(n: DiagramNode) -> str:
+    factors = [
+        _container("{", [
+            _BLOCK + int.__repr__(bl.block),
+            _FACTOR + _kind_json(bl.factor, 5),
+            _CP_VERTICES + _ids_json(bl.cp_vertices, 5),
+            _LIE_VERTICES + _ids_json(bl.lie_vertices, 5),
+        ], "}", 4)
+        for bl in n.blocks
+    ]
+    return _container("{", [
+        _NAME + encode_basestring_ascii(n.name),
+        _SIMPLEX + _ids_json(n.simplex, 3),
+        _FACTORS + _container("[", factors, "]", 3),
+    ], "}", 2)
+
+
+def _block_map_json(bm: BlockMap) -> str:
+    lie = "null" if bm.lie is None else _kind_json(bm.lie, 5)
+    cp = "null" if bm.cp is None else _container("{", [
+        _SOURCE + _ids_json(bm.cp.source, 6),
+        _TARGET + _ids_json(bm.cp.target, 6),
+    ], "}", 5)
+    return _container(
+        "{", [_BLOCK + int.__repr__(bm.block), _LIE + lie, _CP + cp], "}", 4
+    )
+
+
+def _edge_json(e: DiagramEdge) -> str:
+    # through a dict, as json.dumps saw it: a repeated vertex keeps its
+    # first position and its last image
+    generators = [
+        encode_basestring_ascii(v) + ": "
+        + ("null" if img is None else encode_basestring_ascii(img))
+        for v, img in dict(e.label.generator_map).items()
+    ]
+    return _container("{", [
+        _FROM + encode_basestring_ascii(e.source),
+        _TO + encode_basestring_ascii(e.target),
+        _SOURCE + _ids_json(e.label.source, 3),
+        _TARGET + _ids_json(e.label.target, 3),
+        _MAPS + _container("[", [_block_map_json(bm) for bm in e.label.maps], "]", 3),
+        _GENERATOR_MAP + _container("{", generators, "}", 3),
+    ], "}", 2)
 
 
 def emit_json(d: ColimitDiagram) -> str:
-    obj = {
-        "partition": [list(b) for b in d.partition.blocks],
-        "nodes": [
-            {
-                "name": n.name,
-                "simplex": list(n.simplex),
-                "factors": [
-                    {
-                        "block": bl.block,
-                        "factor": _kind_to_json(bl.factor),
-                        "cp_vertices": list(bl.cp_vertices),
-                        "lie_vertices": list(bl.lie_vertices),
-                    }
-                    for bl in n.blocks
-                ],
-            }
-            for n in d.nodes
-        ],
-        "edges": [
-            {
-                "from": e.source,
-                "to": e.target,
-                "source": list(e.label.source),
-                "target": list(e.label.target),
-                "maps": [
-                    {
-                        "block": bm.block,
-                        "lie": None if bm.lie is None else _kind_to_json(bm.lie),
-                        "cp": None
-                        if bm.cp is None
-                        else {
-                            "source": list(bm.cp.source),
-                            "target": list(bm.cp.target),
-                        },
-                    }
-                    for bm in e.label.maps
-                ],
-                "generator_map": {v: img for v, img in e.label.generator_map},
-            }
-            for e in d.edges
-        ],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """The diagram as JSON text: byte for byte what json.dumps(obj,
+    indent=2) + "\n" writes for the object
+
+        {"partition": [[id, ...], ...],
+         "nodes": [{"name", "simplex": [id, ...],
+                    "factors": [{"block", "factor", "cp_vertices",
+                                 "lie_vertices"}, ...]}, ...],
+         "edges": [{"from", "to", "source", "target",
+                    "maps": [{"block", "lie", "cp": {"source", "target"}
+                              or null}, ...],
+                    "generator_map": {id: id or null, ...}}, ...]}
+
+    where a factor, and a lie map unless null, is {"kind": <its
+    FACTOR_KINDS or MAP_KINDS name>, then its fields}.  That is: every id and key escaped to
+    ASCII by json's own encode_basestring_ascii, ": " after a key, a comma
+    and a newline between items, a two-space indent per level, and "[]" or
+    "{}" for an empty list or object.  The text is put together here, not
+    by json.dumps, whose indented encoder is pure Python.
+    diagram_from_json reads it back."""
+    return _container("{", [
+        _PARTITION + _container(
+            "[", [_ids_json(b, 2) for b in d.partition.blocks], "]", 1
+        ),
+        _NODES + _container("[", [_node_json(n) for n in d.nodes], "]", 1),
+        _EDGES + _container("[", [_edge_json(e) for e in d.edges], "]", 1),
+    ], "}", 0) + "\n"
 
 
 def _need(obj: object, key: str, ctx: str) -> object:

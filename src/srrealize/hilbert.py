@@ -104,11 +104,17 @@ def mobius_hilbert(
         w = 1 - sum(cw for t, cw in weight.items() if t & s == s)
         if w:
             weight[s] = w
-    # one free-ring count per distinct degree multiset
-    degrees = [c.degree(v) for v in c.sorted_ids]
+    # one free-ring count per distinct degree multiset, read from the set
+    # bits of each weighed element (lowest first), not from every vertex
+    bit_degree = {1 << i: c.degree(v) for i, v in enumerate(c.sorted_ids)}
     per_multiset: dict[DegreeMultiset, int] = {}
     for s, w in weight.items():
-        ms = tuple(sorted(d for i, d in enumerate(degrees) if s >> i & 1))
+        degrees, rest = [], s
+        while rest:
+            low = rest & -rest
+            degrees.append(bit_degree[low])
+            rest ^= low
+        ms = tuple(sorted(degrees))
         per_multiset[ms] = per_multiset.get(ms, 0) + w
     dims = {d: 0 for d in range(0, truncation + 1, 2)}
     for ms, w in per_multiset.items():

@@ -257,15 +257,17 @@ def verify_construction(
     projections on generators, (c) the gluing recurrence holds up to the
     truncation."""
     report = VerificationReport(truncation)
-    expected_nodes = [(node_name(s), simplex_key(s)) for s in c.poset.elements]
+    # each element's name and key, computed once and read for every cover
+    names = {s: node_name(s) for s in c.poset.elements}
+    keys = {s: simplex_key(s) for s in c.poset.elements}
+    expected_nodes = [(names[s], keys[s]) for s in c.poset.elements]
     got_nodes = [(n.name, n.simplex) for n in diagram.nodes]
     if got_nodes != expected_nodes:
         report.structure_issues.append(
             f"diagram nodes {got_nodes} do not match the poset {expected_nodes}"
         )
     expected_edges = [
-        (node_name(s), node_name(t), simplex_key(s), simplex_key(t))
-        for s, t in c.covers
+        (names[s], names[t], keys[s], keys[t]) for s, t in c.covers
     ]
     got_edges = [
         (e.source, e.target, e.label.source, e.label.target) for e in diagram.edges

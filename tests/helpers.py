@@ -5,11 +5,13 @@ plain recursion over exponents or face by face, poset elements by
 intersecting every facet subset, covering pairs by testing every triple, the
 pushout recurrence by rebuilding every prefix complex, partitions by
 listing every set partition, the main hypothesis by testing every vertex
-pair for a face, and primes by trial division.
+pair for a face, diagram JSON by building the object and handing it to
+json.dumps, and primes by trial division.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Iterable, Sequence
 
@@ -25,6 +27,7 @@ from srrealize.complexes import (
     simplex_key,
 )
 from srrealize.decide import Partition
+from srrealize.diagram import FACTOR_KINDS, MAP_KINDS, ColimitDiagram
 from srrealize.hilbert import (
     HilbertFunction,
     check_truncation,
@@ -180,6 +183,61 @@ def pairwise_main_hypothesis(c: ComplexWithDegrees) -> tuple[str, str, int] | No
                 if c.is_face({x, y}):
                     return (x, y, d.bit_length() - 1)
     return None
+
+
+_KIND_OF = {cls: kind for t in (FACTOR_KINDS, MAP_KINDS) for kind, cls in t.items()}
+
+
+def _kind_obj(value) -> dict:
+    return {"kind": _KIND_OF[type(value)], **vars(value)}
+
+
+def reference_emit_json(d: ColimitDiagram) -> str:
+    """diagram.emit_json as it was first written: the whole document as a
+    dict, laid out by json.dumps(obj, indent=2)."""
+    obj = {
+        "partition": [list(b) for b in d.partition.blocks],
+        "nodes": [
+            {
+                "name": n.name,
+                "simplex": list(n.simplex),
+                "factors": [
+                    {
+                        "block": bl.block,
+                        "factor": _kind_obj(bl.factor),
+                        "cp_vertices": list(bl.cp_vertices),
+                        "lie_vertices": list(bl.lie_vertices),
+                    }
+                    for bl in n.blocks
+                ],
+            }
+            for n in d.nodes
+        ],
+        "edges": [
+            {
+                "from": e.source,
+                "to": e.target,
+                "source": list(e.label.source),
+                "target": list(e.label.target),
+                "maps": [
+                    {
+                        "block": bm.block,
+                        "lie": None if bm.lie is None else _kind_obj(bm.lie),
+                        "cp": None
+                        if bm.cp is None
+                        else {
+                            "source": list(bm.cp.source),
+                            "target": list(bm.cp.target),
+                        },
+                    }
+                    for bm in e.label.maps
+                ],
+                "generator_map": {v: img for v, img in e.label.generator_map},
+            }
+            for e in d.edges
+        ],
+    }
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def brute_pmax(c: ComplexWithDegrees) -> list[Simplex]:

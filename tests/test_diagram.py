@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given
 
 from srrealize import (
     Realizable,
@@ -43,7 +44,16 @@ from srrealize.diagram import (
     node_text,
 )
 
-from helpers import random_complex, ring_468, ring_double_fan, ring_fan6, ring_split46
+from helpers import (
+    PROPERTY,
+    complexes,
+    random_complex,
+    reference_emit_json,
+    ring_468,
+    ring_double_fan,
+    ring_fan6,
+    ring_split46,
+)
 
 RING_468_DOT = (
     "digraph colimit {\n"
@@ -395,3 +405,87 @@ class TestEmission:
             assert emit_dot(d).startswith("digraph colimit {")
             done += 1
         assert done >= 30
+
+
+# One of each escape json applies: quote, backslash, newline, tab, another
+# control character, plain ASCII, a Latin-1 letter and a character outside
+# the BMP, which becomes a surrogate pair.
+AWKWARD_IDS = ('a"q', "b\\s", "c\nl", "d\tt", "e\x01c", "f_u", "g\u00e9", "h\U0001f600")
+
+
+class TestJsonBytes:
+    """emit_json writes the JSON text itself; json.dumps(obj, indent=2) on
+    the same object (reference_emit_json) fixes what its bytes must be."""
+
+    @PROPERTY
+    @given(complexes())
+    def test_matches_the_reference_on_every_found_partition(self, c):
+        verdict = full_report(c)
+        if isinstance(verdict, (Realizable, SufficientOnly)):
+            d = build_diagram(c, verdict.partition)
+            text = emit_json(d)
+            assert text == reference_emit_json(d)
+            assert diagram_from_json(text) == d
+
+    def test_awkward_ids(self):
+        a, b, c4, d6, e, f4, g8, h = AWKWARD_IDS
+        c = make_complex(dict(zip(AWKWARD_IDS, (2, 2, 4, 6, 2, 4, 8, 2))),
+                         [{a, b, c4, d6}, {e, f4, g8, h}, {a, e}])
+        d = build_diagram(c, Partition(((a,), (b,), (c4, d6), (e,), (f4, g8), (h,))))
+        assert d.edges
+        text = emit_json(d)
+        assert text == reference_emit_json(d)
+        assert text.isascii()
+        for escaped in ('"a\\"q"', '"b\\\\s"', '"c\\nl"', '"d\\tt"',
+                        '"e\\u0001c"', '"f_u"', '"g\\u00e9"', '"h\\ud83d\\ude00"'):
+            assert escaped in text
+        assert diagram_from_json(text) == d
+
+    def test_empty_pieces(self):
+        # a node on the empty simplex, a point factor with no vertices, an
+        # edge whose maps are all null, and no generators at all
+        point = BlockLabel(0, Point(), (), ())
+        d = ColimitDiagram(
+            Partition(((),)),
+            (DiagramNode("sigma_", (), (point,)),),
+            (DiagramEdge("sigma_", "sigma_", EdgeLabel(
+                (), (), (BlockMap(0, None, None),), ())),),
+        )
+        text = emit_json(d)
+        assert text == reference_emit_json(d)
+        for piece in ('"partition": [\n    []\n  ]', '"simplex": []',
+                      '"cp_vertices": []', '"lie_vertices": []', '"lie": null',
+                      '"cp": null', '"generator_map": {}'):
+            assert piece in text
+        assert diagram_from_json(text) == d
+
+    def test_no_edges_and_no_nodes(self):
+        empty = ColimitDiagram(Partition(()), (), ())
+        assert emit_json(empty) == reference_emit_json(empty) == (
+            '{\n  "partition": [],\n  "nodes": [],\n  "edges": []\n}\n'
+        )
+        c = make_complex({"a": 4, "b": 6}, [{"a", "b"}])
+        d = build_diagram(c, Partition((("a", "b"),)))
+        assert d.edges == ()
+        assert emit_json(d) == reference_emit_json(d)
+        assert '"edges": []' in emit_json(d)
+
+    def test_every_kind_and_both_iota3_flags(self):
+        factors = [BSp(2), BSU(3), CPInfPower(2), Point()]
+        maps = [FromPoint(), Iota2Power(0), Iota2Power(3), Iota1Power(2, True),
+                Iota1Power(1, False), None]
+        assert {type(f) for f in factors} == set(FACTOR_KINDS.values())
+        assert {type(m) for m in maps} - {type(None)} == set(MAP_KINDS.values())
+        node = DiagramNode("n", ("a", "b"), tuple(
+            BlockLabel(i, f, ("a",) if i % 2 else (), ("b",))
+            for i, f in enumerate(factors)
+        ))
+        edge = DiagramEdge("n", "n", EdgeLabel(("a",), ("a", "b"), tuple(
+            BlockMap(i, m, CPInclusion(("a",), ("a", "b")) if i % 2 else None)
+            for i, m in enumerate(maps)
+        ), (("a", "a"), ("b", None))))
+        d = ColimitDiagram(Partition((("a", "b"),)), (node,), (edge,))
+        text = emit_json(d)
+        assert text == reference_emit_json(d)
+        assert '"after_iota3": true' in text and '"after_iota3": false' in text
+        assert diagram_from_json(text) == d
