@@ -174,19 +174,60 @@ class MaxIntersectionPoset:
     """All intersections of nonempty sets of facets, ordered by inclusion.
 
     Elements are stored in canonical order (lexicographic on sorted id
-    lists).  The maximal elements are the facets themselves; the poset is
-    closed under pairwise intersection.
+    lists).  The maximal elements are the facets themselves, also kept in
+    the complex's facet order; the poset is closed under pairwise
+    intersection.
     """
 
     elements: tuple[Simplex, ...]
+    facets: tuple[Simplex, ...]
 
     def covers(self) -> tuple[tuple[Simplex, Simplex], ...]:
         """Covering pairs (s, t) with s properly below t and nothing between,
-        in element order: for each s, the minimal elements of those above s."""
-        out = []
+        in element order: for each s, its covering t in element order.
+
+        They are found through closures.  The closure cl(x) of a face x is
+        the least element containing it: the intersection of the facets
+        containing x (of all facets when x is empty), an element because
+        the poset is closed under intersection.  An element t above s holds
+        a vertex v outside s, so t contains cl(s | {v}), an element above s.
+        So a cover t of s is cl(s | {v}) for every v in t - s, and
+        conversely a t that is cl(s | {v}) for every v in t - s is a cover:
+        an element r with s < r < t would hold some v in r - s, and
+        cl(s | {v}) <= r would differ from t.  The covers of s are therefore
+        read off at most one closure per vertex outside s.  A closure is
+        named by its set of facets, the AND of its vertices' facet bitsets,
+        and s | {v} has none when that set is empty."""
+        if len(self.elements) < 2:
+            return ()  # no pair, and no per-vertex set-up for one facet
+        vertex_facets: dict[str, int] = {}
+        for i, f in enumerate(self.facets):
+            for v in f:
+                vertex_facets[v] = vertex_facets.get(v, 0) | 1 << i
+        every_facet = (1 << len(self.facets)) - 1
+        keys = []
         for s in self.elements:
-            above = [t for t in self.elements if s < t]
-            out.extend((s, t) for t in above if not any(r < t for r in above))
+            key = every_facet
+            for v in s:
+                key &= vertex_facets[v]
+            keys.append(key)
+        index = {key: i for i, key in enumerate(keys)}
+        bitsets = tuple(vertex_facets.values())
+        out = []
+        for s, key in zip(self.elements, keys):
+            # hits[i]: the vertices v outside s with cl(s | {v}) element i.
+            # v lies in s exactly when its bits hold all of s's key, since s
+            # is the intersection of the facets containing it.
+            hits: dict[int, int] = {}
+            for bits in bitsets:
+                k = key & bits
+                if k and k != key:
+                    i = index[k]
+                    hits[i] = hits.get(i, 0) + 1
+            out.extend(
+                (s, self.elements[i]) for i in sorted(hits)
+                if hits[i] == len(self.elements[i]) - len(s)
+            )
         return tuple(out)
 
 
@@ -197,7 +238,7 @@ def pmax(c: ComplexWithDegrees) -> MaxIntersectionPoset:
     els: set[Simplex] = set()
     for f in c.facets:
         els |= {f & e for e in els} | {f}
-    return MaxIntersectionPoset(tuple(sorted(els, key=simplex_key)))
+    return MaxIntersectionPoset(tuple(sorted(els, key=simplex_key)), c.facets)
 
 
 def complex_from_json(text: str) -> ComplexWithDegrees:

@@ -104,8 +104,18 @@ def mobius_hilbert(
         w = 1 - sum(cw for t, cw in weight.items() if t & s == s)
         if w:
             weight[s] = w
-    # one free-ring count per distinct degree multiset, read from the set
-    # bits of each weighed element (lowest first), not from every vertex
+    zero = dict.fromkeys(range(0, truncation + 1, 2), 0)
+    return add_free_hilbert(c, HilbertFunction(truncation, zero), weight)
+
+
+def add_free_hilbert(
+    c: ComplexWithDegrees, base: HilbertFunction, weight: Mapping[int, int]
+) -> HilbertFunction:
+    """base plus the sum over s in weight of weight[s] times the Hilbert
+    function of Z[s] (faces as bitmasks of c's vertices, see bitmasks), with
+    one free-ring count per distinct degree multiset."""
+    # degree multisets are read from the set bits of each element (lowest
+    # first), not from every vertex
     bit_degree = {1 << i: c.degree(v) for i, v in enumerate(c.sorted_ids)}
     per_multiset: dict[DegreeMultiset, int] = {}
     for s, w in weight.items():
@@ -116,13 +126,13 @@ def mobius_hilbert(
             rest ^= low
         ms = tuple(sorted(degrees))
         per_multiset[ms] = per_multiset.get(ms, 0) + w
-    dims = {d: 0 for d in range(0, truncation + 1, 2)}
+    dims = dict(base.dims)
     for ms, w in per_multiset.items():
         if w:
-            ways = _count_ways(ms, truncation)
+            ways = _count_ways(ms, base.truncation)
             for d in dims:
                 dims[d] += w * ways[d]
-    return HilbertFunction(truncation, dims)
+    return HilbertFunction(base.truncation, dims)
 
 
 def sr_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:

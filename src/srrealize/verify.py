@@ -11,11 +11,23 @@ at step j.  The check grows one family of faces a step at a time: F_0 is
 F_j = F_{j-1} | Q_j | {s_j}.  F_j is closed under intersection and holds
 the facets of K_j; Q_j is closed under intersection and holds the facets of
 K_{j-1} /\\ s_j (the empty face alone when s_j meets nothing before it, the
-point again).  So each side of the recurrence is its own Moebius sum
-(hilbert.mobius_hilbert): dim SR(K_j) over F_j, dim SR(K_{j-1} /\\ s_j) over
-Q_j, dim Z[s_j] by free_hilbert, and dim SR(K_{j-1}) is the previous step's
-sum.  No side is derived from the others, so the recurrence checks the
-Moebius sums.  verify_construction couples it with two per-diagram checks:
+point again).  The intersection side is its own Moebius sum
+(hilbert.mobius_hilbert) over Q_j, dim Z[s_j] is free_hilbert, and
+dim SR(K_{j-1}) is the previous step's union side.
+
+The union side, the Moebius sum over F_j, is carried from step to step and
+updated.  The elements of F_j inside s_j are exactly Q_j and s_j (an element
+of F_{j-1} inside s_j is its own meet with s_j), and the weight of an
+element depends only on the elements above it and their weights.  Every new
+element lies inside s_j, so none lies above an element outside s_j, and no
+weight outside s_j changes.  Step j reweighs Q_j and s_j alone and adds the
+sum of (change in weight) * dim Z[r] over them.
+The check still checks: that added sum equals dim Z[s_j] minus the sum over
+Q_j only because Moebius sums over both families count SR rings exactly (the
+argument in hilbert), and the update never reads the free or the
+intersection side.  A wrong weight or a wrong update fails a row.
+
+verify_construction couples the recurrence with two per-diagram checks:
 every node label has the free cohomology of its simplex (equal Hilbert
 functions up to the truncation), and every edge's induced generator map is
 the Stanley-Reisner projection.
@@ -37,7 +49,14 @@ from .diagram import (
     lie_degrees,
     node_name,
 )
-from .hilbert import bitmasks, free_hilbert, mobius_hilbert
+from .hilbert import (
+    HilbertFunction,
+    add_free_hilbert,
+    bitmasks,
+    check_truncation,
+    free_hilbert,
+    mobius_hilbert,
+)
 
 
 @dataclass
@@ -183,13 +202,35 @@ class VerificationReport:
 def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> VerificationReport:
     """Check the facet-by-facet gluing recurrence for every even degree up to
     the truncation, in the complex's facet order."""
+    check_truncation(truncation)
     report = VerificationReport(truncation)
-    family = {0}  # F_0
-    prev_h = mobius_hilbert(c, family, truncation)
+    family = {0}  # F_0, the point
+    weight = {0: 1}  # the nonzero Moebius weights over the family
+    prev_h = HilbertFunction(
+        truncation, {d: int(d == 0) for d in range(0, truncation + 1, 2)}
+    )
     for j, (facet, s) in enumerate(zip(c.facets, bitmasks(c, c.facets)), start=1):
         meet = {s & t for t in family}  # Q_j
-        family = family | meet | {s}  # F_j
-        cur_h = mobius_hilbert(c, family, truncation)
+        family |= meet
+        family.add(s)  # F_j
+        # Only the elements inside s, Q_j and s, are reweighed, top-down by
+        # size.  above[k] is the weight of the elements outside s whose meet
+        # with s is k, plus k's own once weighed; the elements properly
+        # above r are those counted at a k containing r.
+        above: dict[int, int] = {}
+        for t, w in weight.items():
+            if t & s != t:
+                above[t & s] = above.get(t & s, 0) + w
+        change: dict[int, int] = {}
+        for r in sorted(meet | {s}, key=int.bit_count, reverse=True):
+            w = 1 - sum(aw for k, aw in above.items() if k & r == r)
+            above[r] = above.get(r, 0) + w
+            old = weight.pop(r, 0)
+            if w:
+                weight[r] = w
+            if w != old:
+                change[r] = w - old
+        cur_h = add_free_hilbert(c, prev_h, change)
         free_h = free_hilbert(c.degree_multiset(facet), truncation)
         inter_h = mobius_hilbert(c, meet, truncation)
         rows = [

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the package's fast paths: counting is done by
 plain recursion over exponents or face by face, poset elements by
 intersecting every facet subset, covering pairs by testing every triple, the
-pushout recurrence by rebuilding every prefix complex, partitions by
+pushout recurrence by rebuilding every prefix complex and by reweighing the
+whole growing family of facet intersections at every step, partitions by
 listing every set partition, the main hypothesis by testing every vertex
 pair for a face, diagram JSON by building the object and handing it to
 json.dumps, and primes by trial division.
@@ -30,8 +31,10 @@ from srrealize.decide import Partition
 from srrealize.diagram import FACTOR_KINDS, MAP_KINDS, ColimitDiagram
 from srrealize.hilbert import (
     HilbertFunction,
+    bitmasks,
     check_truncation,
     free_hilbert,
+    mobius_hilbert,
     sr_hilbert,
 )
 from srrealize.verify import DegreeRow, StepRecord, VerificationReport
@@ -306,6 +309,30 @@ def prefix_recurrence_check(
     return report
 
 
+def reference_recurrence_check(
+    c: ComplexWithDegrees, truncation: int
+) -> VerificationReport:
+    """verify.pushout_recurrence_check as it was first written: at step j,
+    every side is its own Moebius sum from scratch, the union side over the
+    whole family F_j and the intersection side over Q_j."""
+    report = VerificationReport(truncation)
+    family = {0}  # F_0
+    prev_h = mobius_hilbert(c, family, truncation)
+    for j, (facet, s) in enumerate(zip(c.facets, bitmasks(c, c.facets)), start=1):
+        meet = {s & t for t in family}  # Q_j
+        family = family | meet | {s}  # F_j
+        cur_h = mobius_hilbert(c, family, truncation)
+        free_h = free_hilbert(c.degree_multiset(facet), truncation)
+        inter_h = mobius_hilbert(c, meet, truncation)
+        rows = [
+            DegreeRow(d, cur_h.at(d), prev_h.at(d), free_h.at(d), inter_h.at(d))
+            for d in range(0, truncation + 1, 2)
+        ]
+        report.steps.append(StepRecord(j, simplex_key(facet), rows))
+        prev_h = cur_h
+    return report
+
+
 def naive_is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -348,6 +375,25 @@ def random_complex(rng: random.Random) -> ComplexWithDegrees:
     )
     used = sorted(set().union(*facets))
     return make_complex({v: degrees[v] for v in used}, facets)
+
+
+def degree2_complex(
+    rng: random.Random, nv: int, nf: int, lo: int, hi: int
+) -> ComplexWithDegrees:
+    """nv degree-2 vertices and the maximal sets among nf distinct random
+    facets of lo to hi vertices, in canonical order.  Every poset element is
+    a torus, so the verdict is Realizable.  With lo == hi no size is drawn:
+    18, 90, 9, 9 from random.Random(9) is the torus with |P| = 4584."""
+    ids = [f"p{i}" for i in range(nv)]
+    cand: set[Simplex] = set()
+    while len(cand) < nf:
+        size = lo if lo == hi else rng.randint(lo, hi)
+        cand.add(frozenset(rng.sample(ids, size)))
+    facets = sorted(
+        (s for s in cand if not any(s < t for t in cand)), key=simplex_key
+    )
+    used = sorted(set().union(*facets))
+    return make_complex({v: 2 for v in used}, facets)
 
 
 def shuffled_facets(

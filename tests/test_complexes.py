@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from helpers import (
     PROPERTY,
     brute_pmax,
     complexes,
+    degree2_complex,
     naive_covers,
     random_complex,
     ring_468,
@@ -167,6 +169,43 @@ def test_covers_have_nothing_between():
 def test_covers_match_triple_loop_oracle(c):
     poset = pmax(c)
     assert poset.covers() == naive_covers(poset.elements)
+
+
+@pytest.mark.parametrize("degrees, facets", [
+    ({}, []),
+    ({"a": 2, "b": 4}, [{"a", "b"}]),
+    ({"a": 2, "b": 2, "c": 4}, [{"a"}, {"b", "c"}]),
+    ({"a": 2, "b": 2, "c": 2, "d": 4}, [{"a", "b"}, {"b", "c"}, {"d"}]),
+    ({"h": 4, "a": 2, "b": 2, "c": 2},
+     [{"h", "a", "b"}, {"h", "b", "c"}, {"h", "c", "a"}]),
+    ({"a": 2, "b": 2, "a_b": 2, "b_": 4},
+     [{"a", "b"}, {"a_b", "b"}, {"a", "a_b", "b_"}]),
+], ids=["no_facets", "one_facet", "two_disjoint", "disjoint_and_meeting",
+        "vertex_in_every_facet", "underscore_ids"])
+def test_covers_edge_cases_match_triple_loop_oracle(degrees, facets):
+    c = make_complex(degrees, facets)
+    assert c.covers == naive_covers(c.poset.elements)
+
+
+def test_covers_from_the_empty_face_reach_each_vertex_closure():
+    # {a,b} and {b,c} meet in {b}, {d} meets neither: the empty face is an
+    # element, the vertex closures are {a,b}, {b}, {b,c} and {d}, and the
+    # empty face is covered by the minimal ones
+    c = make_complex({v: 2 for v in "abcd"}, [{"a", "b"}, {"b", "c"}, {"d"}])
+    e, ab, b, bc, d = (frozenset(x) for x in ("", "ab", "b", "bc", "d"))
+    assert c.poset.elements == (e, ab, b, bc, d)
+    assert c.covers == ((e, b), (e, d), (b, ab), (b, bc))
+
+
+def test_torus_covers_wall_time():
+    # |P| = 4584; comparing every pair of elements took about 2-4 s on a
+    # shared 2-vCPU host
+    c = degree2_complex(random.Random(9), 18, 90, 9, 9)
+    c.poset
+    start = time.perf_counter()
+    covers = c.covers
+    assert time.perf_counter() - start < 1.0
+    assert len(covers) == 20644
 
 
 def test_complex_from_json_roundtrip():

@@ -47,6 +47,7 @@ from srrealize.diagram import (
 from helpers import (
     PROPERTY,
     complexes,
+    naive_covers,
     random_complex,
     reference_emit_json,
     ring_468,
@@ -489,3 +490,15 @@ class TestJsonBytes:
         assert text == reference_emit_json(d)
         assert '"after_iota3": true' in text and '"after_iota3": false' in text
         assert diagram_from_json(text) == d
+
+
+@PROPERTY
+@given(complexes())
+def test_edges_are_the_triple_loop_covering_pairs(c):
+    # build_diagram reads c.covers; the oracle keeps covers from vouching
+    # for itself.  With every degree set to 2 each element is a torus, so
+    # every drawn complex has a diagram.
+    c = make_complex({v: 2 for v in c.sorted_ids}, c.facets)
+    d = build_diagram(c, full_report(c).partition)
+    assert [(frozenset(e.label.source), frozenset(e.label.target))
+            for e in d.edges] == list(naive_covers(c.poset.elements))

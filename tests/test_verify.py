@@ -1,6 +1,7 @@
 """Dimension-level verification: gluing recurrence, oracle, mutation checks."""
 import dataclasses
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,17 +17,20 @@ from srrealize import (
 from srrealize.complexes import pmax
 from srrealize.decide import Partition, find_partition
 from srrealize.diagram import BSp, BSU, BlockLabel, BlockMap, Iota2Power, Point
-from srrealize.hilbert import bitmasks, mobius_hilbert, sr_hilbert
+from srrealize import verify
+from srrealize.hilbert import HilbertFunction, bitmasks, mobius_hilbert, sr_hilbert
 from srrealize.verify import _label_degrees, pushout_recurrence_check
 
 from helpers import (
     PROPERTY,
     brute_oracle_hilbert,
     complexes,
+    degree2_complex,
     intersection_complex,
     naive_sr_count,
     prefix_recurrence_check,
     random_complex,
+    reference_recurrence_check,
     ring_468,
     ring_double_fan,
     ring_fan6,
@@ -94,6 +98,53 @@ class TestPushoutRecurrence:
         # complexes() draws the facets in any order
         assert pushout_recurrence_check(c, 24).steps == \
             prefix_recurrence_check(c, 24).steps
+
+    @PROPERTY
+    @given(complexes(), st.randoms(use_true_random=False))
+    def test_report_matches_the_from_scratch_oracle(self, c, rng):
+        c = shuffled_facets(c, rng)
+        d = 6 * max((v.degree for v in c.vertices), default=2)
+        assert pushout_recurrence_check(c, d).to_json_dict() == \
+            reference_recurrence_check(c, d).to_json_dict()
+
+    def test_poset_shaped_complex_matches_the_from_scratch_oracle(self):
+        # the shape of the bench's poset workload: 18 degree-2 vertices and
+        # 40 facets of 5 to 7 of them, |P| = 341
+        c = degree2_complex(random.Random(4), 18, 40, 5, 7)
+        assert len(c.poset.elements) == 341
+        report = pushout_recurrence_check(c, 12)
+        assert report.passed
+        assert report.to_json_dict() == \
+            reference_recurrence_check(c, 12).to_json_dict()
+
+    def test_intersection_side_off_by_one_fails_its_step(self, monkeypatch):
+        # The union side is its own sum, not prev + free - inter: a wrong
+        # intersection sum at step 3 must fail step 3, and only step 3.
+        c = ring_double_fan()
+        assert [sorted(f) for f in c.facets[:3]] == [
+            ["x4", "y1", "z1"], ["x4", "y1", "z2"], ["x4", "y2", "z1"]]
+        q3 = set(bitmasks(c, [set(), {"x4"}, {"x4", "z1"}]))
+
+        def skewed(c, family, truncation):
+            h = mobius_hilbert(c, family, truncation)
+            if set(family) == q3:
+                h = HilbertFunction(truncation, {**h.dims, 8: h.dims[8] + 1})
+            return h
+
+        monkeypatch.setattr(verify, "mobius_hilbert", skewed)
+        report = pushout_recurrence_check(c, 16)
+        assert [s.ok for s in report.steps] == [True, True, False, True]
+        assert report.first_discrepancy.startswith("step 3 (facet")
+        assert [r.degree for r in report.steps[2].rows if not r.ok] == [8]
+
+    def test_torus_recurrence_wall_time(self):
+        # |P| = 4584; reweighing the whole family at every step took about
+        # 10-13 s on a shared 2-vCPU host
+        c = degree2_complex(random.Random(9), 18, 90, 9, 9)
+        start = time.perf_counter()
+        report = pushout_recurrence_check(c, 12)
+        assert time.perf_counter() - start < 4.0
+        assert report.passed
 
     @PROPERTY
     @given(complexes())
