@@ -13,9 +13,9 @@ The admissible families (up to any number of degree-2 entries) are:
 Everything else is rejected with a reason:
 
   * MultipleDegree4: more than one generator of degree 4,
-  * TableMiss: the multiset is not in the classification table of degree
-    sequences admitting unstable structure at all large primes (and so cannot
-    be an integral cohomology ring), or it is the table row
+  * TableMiss: the multiset is not one table row of the classification of
+    degree sequences admitting unstable structure at all large primes (and so
+    cannot be an integral cohomology ring), or it is the table row
     {4, 8, ..., 4(n-1), 2n} with n odd >= 5, excluded by a table-driven rule,
   * ThomasRank: a rank inequality forced by squaring operations fails
     (for d = 2^i * n with i >= 1 and n odd >= 3, the count of generators in
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .complexes import DegreeMultiset
@@ -130,16 +129,12 @@ def _normalize(ms: Sequence[int]) -> DegreeMultiset:
 
 
 def _match_exceptional(rest: DegreeMultiset) -> int | None:
-    if not rest:
+    # exceptional_degrees(n) has 2^(n-1) entries, so the length fixes n
+    size = len(rest)
+    if size < 4 or size & (size - 1):
         return None
-    top = max(rest)
-    n = 3
-    # exceptional_degrees(n) has 2^(n-1) entries, the largest 2^(n+1) - 4
-    while 2 ** (n + 1) - 4 <= top and 2 ** (n - 1) <= len(rest):
-        if rest == exceptional_degrees(n):
-            return n
-        n += 1
-    return None
+    n = size.bit_length()
+    return n if rest == exceptional_degrees(n) else None
 
 
 def thomas_rank_check(ms: Sequence[int]) -> ThomasRank | None:
@@ -176,56 +171,21 @@ _FIXED_TABLE_ROWS: tuple[DegreeMultiset, ...] = (
 )
 
 
-def _table_families_up_to(top: int, size: int) -> tuple[DegreeMultiset, ...]:
-    """The table rows with no degree above top and at most size entries:
-    the only rows that fit inside a multiset of size entries whose largest
-    degree is top.  Both bounds keep the table small for huge degrees."""
-    fams: set[DegreeMultiset] = set()
-    n = 2
-    while 2 * n <= top and n - 1 <= size:  # {4, 6, ..., 2n}
-        fams.add(tuple(range(4, 2 * n + 1, 2)))
-        n += 1
-    n = 1
-    while 4 * n <= top and n <= size:  # {4, 8, ..., 4n}
-        fams.add(tuple(range(4, 4 * n + 1, 4)))
-        n += 1
-    n = 4
-    # {4, 8, ..., 4(n-1)} + {2n}
-    while max(4 * (n - 1), 2 * n) <= top and n <= size:
-        fams.add(tuple(sorted(list(range(4, 4 * n - 3, 4)) + [2 * n])))
-        n += 1
-    for row in _FIXED_TABLE_ROWS:
-        if max(row) <= top and len(row) <= size:
-            fams.add(row)
-    return tuple(sorted(fams))
-
-
-def _sub_multiset(small: Counter, big: Counter) -> bool:
-    return all(big.get(k, 0) >= v for k, v in small.items())
-
-
 def aguade_table_member(ms: Sequence[int]) -> bool:
-    """Membership in the classification table, allowing disjoint unions of
-    table rows (a product of admissible spaces realizes the union of their
-    degree sequences).  Degree-2 entries are units and are ignored."""
+    """Whether the degrees above 2 form one row of the classification table
+    (or none at all: degree-2 entries are units and are ignored).
+
+    A product of admissible spaces realizes the disjoint union of their
+    rows, but every row holds exactly one 4.  classify rejects a multiset
+    with two 4s before it reads the table, so a union it could meet is
+    empty or a single row, and the multiset's length fixes which row: the
+    chains su_degrees(n) and sp_degrees(n), {4, 8, ..., 4(n-1)} + {2n} for
+    n >= 4, or a fixed row.  A multiset with two or more 4s is no row."""
     rest = tuple(d for d in _normalize(ms) if d != 2)
-    if not rest:
-        return True
-    fams = [Counter(f) for f in _table_families_up_to(max(rest), len(rest))]
-
-    @lru_cache(maxsize=None)
-    def decompose(remaining: DegreeMultiset) -> bool:
-        if not remaining:
-            return True
-        rem = Counter(remaining)
-        for fam in fams:
-            if _sub_multiset(fam, rem):
-                left = rem - fam
-                if decompose(tuple(sorted(left.elements()))):
-                    return True
-        return False
-
-    return decompose(rest)
+    n = len(rest)
+    mixed = tuple(sorted((*range(4, 4 * n - 3, 4), 2 * n))) if n >= 4 else None
+    return (n == 0 or rest in (su_degrees(n), sp_degrees(n), mixed)
+            or rest in _FIXED_TABLE_ROWS)
 
 
 def classify(ms: Sequence[int]) -> AdmissibleClass:
@@ -259,10 +219,16 @@ def classify(ms: Sequence[int]) -> AdmissibleClass:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _MR_BASES (Sorenson and
+# Webster): 399165290221 * 798330580441
+_MR_BOUND = 318665857834031151167461
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, valid far beyond any value reachable here
+    # Miller-Rabin on _MR_BASES, deterministic only below _MR_BOUND
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality of {n} is not decided: the test is exact "
+                         f"only below {_MR_BOUND}")
     if n < 2:
         return False
     for p in _MR_BASES:

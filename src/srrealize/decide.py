@@ -166,7 +166,9 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     existing block or the first unused one (which breaks symmetry), pruning
     a branch as soon as a block repeats a degree inside one poset element or
     the completion rule below fires.  The first solution found is returned,
-    so the result is deterministic.
+    so the result is deterministic.  The search is a loop that keeps one
+    block cursor per depth, not a recursion, so a complex with many
+    vertices of degree >= 4 cannot overflow the interpreter stack.
 
     Two counting rules cut branches early.  Both rest on one fact: in a
     partition, block b meets element s in a constructible multiset, so its
@@ -228,7 +230,6 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     held: dict[Simplex, dict[int, set[int]]] = {s: {} for s in elements}
     lacking: dict[Simplex, Counter[int]] = {s: Counter() for s in elements}
 
-    assign: dict[str, int] = {}
     nblocks = 1 if ids2 else 0
 
     def duplicate_degree(v: str, b: int) -> bool:
@@ -255,34 +256,35 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
         """The completion rule on element s."""
         return any(n > left[s][e] for e, n in lacking[s].items())
 
-    def dfs(k: int) -> bool:
-        nonlocal nblocks
-        if k == len(ids4):
-            return True
-        v = ids4[k]
-        for b in range(nblocks + 1):
-            if duplicate_degree(v, b):
-                continue
-            assign[v] = b
-            move(v, b, True)
-            grew = b == nblocks
-            if grew:
-                nblocks += 1
-            if not any(cannot_complete(s) for s in holding[v]) and dfs(k + 1):
-                return True
-            del assign[v]
-            move(v, b, False)
-            if grew:
-                nblocks -= 1
-        return False
+    # ids4[k] was last placed in block tried[k] - 1 (nowhere while 0), and
+    # grew[k] says whether that placement opened a new block
+    tried = [0] * len(ids4)
+    grew = [False] * len(ids4)
+    k = 0
+    while 0 <= k < len(ids4):
+        v, b = ids4[k], tried[k]
+        if b:  # back at depth k: take v out of its last block
+            move(v, b - 1, False)
+            nblocks -= grew[k]
+        while b <= nblocks and duplicate_degree(v, b):
+            b += 1
+        if b > nblocks:  # no block left for v
+            tried[k] = 0
+            k -= 1
+            continue
+        tried[k], grew[k] = b + 1, b == nblocks
+        nblocks += grew[k]
+        move(v, b, True)
+        if not any(cannot_complete(s) for s in holding[v]):
+            k += 1
 
-    if not dfs(0):
+    if k < 0:
         return None
     blocks: list[list[str]] = [[] for _ in range(nblocks)]
     if ids2:
         blocks[0].extend(ids2)
-    for v in ids4:
-        blocks[assign[v]].append(v)
+    for v, b in zip(ids4, tried):
+        blocks[b - 1].append(v)
     return Partition(tuple(tuple(sorted(b)) for b in blocks))
 
 

@@ -5,8 +5,9 @@ plain recursion over exponents or face by face, poset elements by
 intersecting every facet subset, covering pairs by testing every triple, the
 pushout recurrence by rebuilding every prefix complex and by reweighing the
 whole growing family of facet intersections at every step, partitions by
-listing every set partition, the main hypothesis by testing every vertex
-pair for a face, diagram JSON by building the object and handing it to
+listing every set partition, table membership by searching every disjoint
+union of table rows, the main hypothesis by testing every vertex pair for a
+face, diagram JSON by building the object and handing it to
 json.dumps, and primes by trial division.
 """
 from __future__ import annotations
@@ -14,14 +15,35 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from hypothesis import HealthCheck, settings, strategies as st
 
 from srrealize import classify, make_complex
-from srrealize.admissible import CONSTRUCTIBLE
+from srrealize.admissible import (
+    _FIXED_TABLE_ROWS,
+    CONSTRUCTIBLE,
+    AdemP3,
+    AdmissibleClass,
+    Exceptional,
+    Inadmissible,
+    MultipleDegree4,
+    SpType,
+    SUType,
+    TableMiss,
+    Torus,
+    _normalize,
+    adem_p3_check,
+    exceptional_degrees,
+    sp_degrees,
+    su_degrees,
+    thomas_rank_check,
+)
 from srrealize.complexes import (
     ComplexWithDegrees,
+    DegreeMultiset,
     Simplex,
     VertexDecl,
     all_faces,
@@ -331,6 +353,102 @@ def reference_recurrence_check(
         report.steps.append(StepRecord(j, simplex_key(facet), rows))
         prev_h = cur_h
     return report
+
+
+def _table_families_up_to(top: int, size: int) -> tuple[DegreeMultiset, ...]:
+    """The table rows with no degree above top and at most size entries:
+    the only rows that fit inside a multiset of size entries whose largest
+    degree is top.  Both bounds keep the table small for huge degrees."""
+    fams: set[DegreeMultiset] = set()
+    n = 2
+    while 2 * n <= top and n - 1 <= size:  # {4, 6, ..., 2n}
+        fams.add(tuple(range(4, 2 * n + 1, 2)))
+        n += 1
+    n = 1
+    while 4 * n <= top and n <= size:  # {4, 8, ..., 4n}
+        fams.add(tuple(range(4, 4 * n + 1, 4)))
+        n += 1
+    n = 4
+    # {4, 8, ..., 4(n-1)} + {2n}
+    while max(4 * (n - 1), 2 * n) <= top and n <= size:
+        fams.add(tuple(sorted(list(range(4, 4 * n - 3, 4)) + [2 * n])))
+        n += 1
+    for row in _FIXED_TABLE_ROWS:
+        if max(row) <= top and len(row) <= size:
+            fams.add(row)
+    return tuple(sorted(fams))
+
+
+def _sub_multiset(small: Counter, big: Counter) -> bool:
+    return all(big.get(k, 0) >= v for k, v in small.items())
+
+
+def union_table_member(ms: Sequence[int]) -> bool:
+    """Membership in the classification table, allowing disjoint unions of
+    table rows (a product of admissible spaces realizes the union of their
+    degree sequences).  Degree-2 entries are units and are ignored."""
+    rest = tuple(d for d in _normalize(ms) if d != 2)
+    if not rest:
+        return True
+    fams = [Counter(f) for f in _table_families_up_to(max(rest), len(rest))]
+
+    @lru_cache(maxsize=None)
+    def decompose(remaining: DegreeMultiset) -> bool:
+        if not remaining:
+            return True
+        rem = Counter(remaining)
+        for fam in fams:
+            if _sub_multiset(fam, rem):
+                left = rem - fam
+                if decompose(tuple(sorted(left.elements()))):
+                    return True
+        return False
+
+    return decompose(rest)
+
+
+def _reference_match_exceptional(rest: DegreeMultiset) -> int | None:
+    if not rest:
+        return None
+    top = max(rest)
+    n = 3
+    # exceptional_degrees(n) has 2^(n-1) entries, the largest 2^(n+1) - 4
+    while 2 ** (n + 1) - 4 <= top and 2 ** (n - 1) <= len(rest):
+        if rest == exceptional_degrees(n):
+            return n
+        n += 1
+    return None
+
+
+def reference_classify(ms: Sequence[int]) -> AdmissibleClass:
+    """admissible.classify as it was with the union search: the exceptional
+    family found by trying every n up to the top degree, and table
+    membership by union_table_member."""
+    norm = _normalize(ms)
+    k2 = sum(1 for d in norm if d == 2)
+    rest = tuple(d for d in norm if d != 2)
+    if not rest:
+        return Torus(k2)
+    n = len(rest)
+    if rest == sp_degrees(n):
+        return SpType(n, k2)  # {4} lands here, not in the unitary chain
+    if rest == su_degrees(n):
+        return SUType(n, k2)
+    exc = _reference_match_exceptional(rest)
+    if exc is not None:
+        return Exceptional(exc, k2)
+    if rest.count(4) >= 2:
+        return Inadmissible(MultipleDegree4())
+    if not union_table_member(rest):
+        return Inadmissible(TableMiss())
+    violation = thomas_rank_check(rest)
+    if violation is not None:
+        return Inadmissible(violation)
+    if adem_p3_check(rest) is not None:
+        return Inadmissible(AdemP3())
+    # in the table, passes both computed checks: the remaining row is
+    # {4, 8, ..., 4(n-1), 2n} with n odd >= 5, excluded by the table rule
+    return Inadmissible(TableMiss())
 
 
 def naive_is_prime(n: int) -> bool:

@@ -1,7 +1,9 @@
 """Degree-multiset classification, obstruction checks, congruence primes."""
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from srrealize import classify
 from srrealize.admissible import (
@@ -24,7 +26,13 @@ from srrealize.admissible import (
     thomas_rank_check,
 )
 
-from helpers import naive_congruence_prime, naive_is_prime
+from helpers import (
+    PROPERTY,
+    naive_congruence_prime,
+    naive_is_prime,
+    reference_classify,
+    union_table_member,
+)
 
 # the rejection suite: multiset -> frozen first rank violation
 THOMAS_REJECTED = {
@@ -146,6 +154,25 @@ class TestClassify:
             classify((0,))
 
 
+class TestClassifyMatchesUnionSearch:
+    """classify reads the table by matching one row; the oracle searches
+    every disjoint union of rows.  MultipleDegree4 comes first, so the two
+    must agree everywhere."""
+
+    @PROPERTY
+    @given(st.lists(
+        st.sampled_from((2, 4, 6, 8, 10, 12, 16, 24, 48, 10**12)), max_size=9,
+    ))
+    def test_generated_multisets(self, ms):
+        assert classify(ms) == reference_classify(ms)
+
+    def test_every_1_to_4_degrees_up_to_40_with_at_most_one_4(self):
+        for r in range(1, 5):
+            for ms in itertools.combinations_with_replacement(range(4, 41, 2), r):
+                if ms.count(4) <= 1:
+                    assert classify(ms) == reference_classify(ms), ms
+
+
 class TestThomasRank:
     def test_passes_on_admissible_families(self):
         families = [su_degrees(n) for n in range(1, 9)]
@@ -201,9 +228,11 @@ class TestAguadeTable:
         assert aguade_table_member((4, 8, 8, 12))  # mixed family at n=4
 
     def test_unions(self):
-        assert aguade_table_member((4, 6, 4, 8, 12))
-        assert aguade_table_member((4, 4))
-        assert aguade_table_member((4, 12, 4, 6, 8))
+        # union semantics live only in the oracle: every row holds one 4
+        assert union_table_member((4, 6, 4, 8, 12))
+        assert union_table_member((4, 4))
+        assert union_table_member((4, 12, 4, 6, 8))
+        assert not aguade_table_member((4, 4))
 
     def test_misses(self):
         assert not aguade_table_member((6,))
@@ -216,8 +245,6 @@ class TestAguadeTable:
         assert aguade_table_member((2, 2))
 
     def test_union_matches_brute_force_on_small_multisets(self):
-        import itertools
-
         def brute_member(ms):
             # try all ways to peel off one family, no memoization
             ms = tuple(sorted(d for d in ms if d != 2))
@@ -250,10 +277,12 @@ class TestAguadeTable:
                         return True
             return False
 
-        pool = (4, 6, 8, 12)
+        # with at most one 4 a union of rows is empty or a single row
+        pool = (4, 6, 8, 10, 12, 16, 24, 48)
         for r in range(1, 5):
             for combo in itertools.combinations_with_replacement(pool, r):
-                assert aguade_table_member(combo) == brute_member(combo), combo
+                if combo.count(4) <= 1:
+                    assert aguade_table_member(combo) == brute_member(combo), combo
 
 
 class TestDirichletPrime:
@@ -281,3 +310,12 @@ class TestDirichletPrime:
             dirichlet_prime([7], 0)  # too small
         with pytest.raises(ValueError):
             dirichlet_prime([11, 11], 0)  # repeated
+
+    def test_refuses_candidates_at_the_miller_rabin_bound(self):
+        # the least strong pseudoprime to the twelve bases 2..37
+        bound = 318665857834031151167461
+        assert bound == 399165290221 * 798330580441
+        with pytest.raises(ValueError):
+            dirichlet_prime([bound], 0)
+        with pytest.raises(ValueError):
+            dirichlet_prime([], 10**24)

@@ -5,11 +5,13 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
 from helpers import naive_congruence_prime, ring_double_fan
 from srrealize import complexes
+from srrealize.admissible import sp_degrees
 from srrealize.cli import main as cli_main
 
 RING_468 = json.dumps({
@@ -155,6 +157,36 @@ class TestCheck:
         assert r.returncode == 20
         assert "Traceback" not in r.stderr
         assert json.loads(r.stdout)["verdict"] == "NotRealizable"
+
+    def test_one_long_facet_misses_the_table_in_under_1_s(self, tmp_path, capsys):
+        # 2001 degrees on one facet: reading the table must stay linear in
+        # them (a search over unions of rows takes about 20 s on this input)
+        degrees = sp_degrees(2000) + (10**12,)
+        ids = [f"v{i:04d}" for i in range(len(degrees))]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": v, "degree": d} for v, d in zip(ids, degrees)],
+            "facets": [ids],
+        }))
+        start = time.perf_counter()
+        code = cli_main(["check", str(path)])
+        elapsed = time.perf_counter() - start
+        obj = json.loads(capsys.readouterr().out)
+        assert (code, obj["verdict"], obj["reason"]) == (
+            20, "NotRealizable", {"kind": "TableMiss"})
+        assert elapsed < 1.0, elapsed
+
+    def test_600_degree_4_pairs_partition_without_recursion(self):
+        # the partition search places one vertex per depth: 1200 of them
+        # would overflow a recursive search
+        a = [f"a{i:03d}" for i in range(600)]
+        b = [f"b{i:03d}" for i in range(600)]
+        r = run(["check"], json.dumps({
+            "vertices": [{"id": v, "degree": 4} for v in a + b],
+            "facets": [list(pair) for pair in zip(a, b)],
+        }))
+        assert r.returncode == 10, r.stderr
+        assert json.loads(r.stdout) == {"verdict": "SufficientOnly", "partition": [a, b]}
 
     def test_unknown(self):
         r = run(["check"], EXCEPTIONAL)
@@ -796,6 +828,12 @@ class TestPrime:
     def test_invalid_extra(self):
         r = run(["prime", "--extra", "9"])
         assert r.returncode == 2
+
+    def test_extra_at_the_miller_rabin_bound(self):
+        # 399165290221 * 798330580441 passes Miller-Rabin on bases 2..37
+        r = run(["prime", "--extra", "318665857834031151167461"])
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr.startswith("error:")
 
 
 class TestVerifyGoldenBytes:
