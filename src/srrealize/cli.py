@@ -103,10 +103,7 @@ def verdict_to_json(v: Verdict) -> dict:
         ]
     elif isinstance(v, NotRealizable):
         j["witness"] = sorted(v.witness)
-        if isinstance(v.reason, Exceptional):
-            j["reason"] = {"kind": "FamilyMismatch", "class": class_to_json(v.reason)}
-        else:
-            j["reason"] = reason_to_json(v.reason)
+        j["reason"] = reason_to_json(v.reason)
     elif isinstance(v, HypothesisViolated):
         j["pair"] = list(v.pair)
         j["shared_power_degree"] = v.shared_power_degree
@@ -204,17 +201,15 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_obstruct(args: argparse.Namespace) -> int:
-    c = complex_from_json(_read_input(args.input))
-    entries = []
-    for s in c.poset.elements:
-        ms = c.degree_multiset(s)
-        entries.append((sorted(s), ms, classify(ms)))
+    poset = complex_from_json(_read_input(args.input)).poset
+    entries = [(list(k), list(ms), classify(ms))
+               for k, ms in zip(poset.keys, poset.multisets)]
     obj = {"sigmas": [
-        {"simplex": ids, "multiset": list(ms), "class": class_to_json(cls)}
+        {"simplex": ids, "multiset": ms, "class": class_to_json(cls)}
         for ids, ms, cls in entries
     ]}
     _emit(args, obj, lambda: "\n".join(
-        f"sigma {ids}: multiset {list(ms)} -> {class_to_text(cls)}"
+        f"sigma {ids}: multiset {ms} -> {class_to_text(cls)}"
         for ids, ms, cls in entries
     ) + "\n")
     return 0

@@ -176,11 +176,14 @@ class MaxIntersectionPoset:
     Elements are stored in canonical order (lexicographic on sorted id
     lists).  The maximal elements are the facets themselves, also kept in
     the complex's facet order; the poset is closed under pairwise
-    intersection.
+    intersection.  keys and multisets run parallel to elements: each
+    element's sorted ids and sorted degrees, computed once for every stage.
     """
 
     elements: tuple[Simplex, ...]
     facets: tuple[Simplex, ...]
+    keys: tuple[tuple[str, ...], ...]
+    multisets: tuple[DegreeMultiset, ...]
 
     def covers(self) -> tuple[tuple[Simplex, Simplex], ...]:
         """Covering pairs (s, t) with s properly below t and nothing between,
@@ -238,7 +241,11 @@ def pmax(c: ComplexWithDegrees) -> MaxIntersectionPoset:
     els: set[Simplex] = set()
     for f in c.facets:
         els |= {f & e for e in els} | {f}
-    return MaxIntersectionPoset(tuple(sorted(els, key=simplex_key)), c.facets)
+    keys = tuple(sorted(map(simplex_key, els)))
+    return MaxIntersectionPoset(
+        tuple(map(frozenset, keys)), c.facets, keys,
+        tuple(tuple(sorted(c.degree_map[v] for v in k)) for k in keys),
+    )
 
 
 def complex_from_json(text: str) -> ComplexWithDegrees:

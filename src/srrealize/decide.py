@@ -6,6 +6,8 @@ have nonzero product: the ring is an integral cohomology ring exactly when
 every element of the facet-intersection poset has a Torus, SUType or SpType
 degree multiset.  In a Stanley-Reisner ring xy != 0 iff x and y share a
 facet, so one scan over the facets decides the hypothesis (_shared_pair).
+The decision is then necessary_condition's scan of the poset's degree
+multisets: no element is Exceptional, whose row holds 2^n >= 8 twice.
 
 When that hypothesis fails the engine falls back to two one-sided tools:
 a vertex partition certifying realizability block by block (sufficient), and
@@ -33,9 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .admissible import (
-    CONSTRUCTIBLE,
     AdmissibleClass,
-    Exceptional,
     Inadmissible,
     ObstructionReason,
     classify,
@@ -59,7 +59,7 @@ class Realizable:
 @dataclass(frozen=True)
 class NotRealizable:
     witness: Simplex
-    reason: ObstructionReason | Exceptional
+    reason: ObstructionReason
 
 
 @dataclass(frozen=True)
@@ -106,35 +106,35 @@ def check_main_hypothesis(c: ComplexWithDegrees) -> tuple[str, str, int] | None:
 
 
 def decide_main(c: ComplexWithDegrees) -> Verdict:
-    """The complete decision under the main hypothesis.  Exceptional counts
-    as a failure here: it is ruled out of the realizable list, and in fact
-    cannot occur at all while the hypothesis holds (its doubled degree is a
-    power of two carried by two vertices of a common face)."""
+    """The complete decision under the main hypothesis: necessary_condition's
+    scan.  No element is Exceptional while the hypothesis holds (its row
+    holds 2^n >= 8 twice, two vertices of degree 2^n on one face), so every
+    element that is not inadmissible is constructible."""
     hit = check_main_hypothesis(c)
     if hit is not None:
         x, y, i = hit
         return HypothesisViolated((x, y), 2 ** i)
-    per: list[tuple[Simplex, AdmissibleClass]] = []
-    for s in c.poset.elements:
-        cls = classify(c.degree_multiset(s))
-        if isinstance(cls, CONSTRUCTIBLE):
-            per.append((s, cls))
-        elif isinstance(cls, Inadmissible):
+    return _scan(c)
+
+
+def _scan(c: ComplexWithDegrees) -> Realizable | NotRealizable:
+    """The first poset element in none of the four admissible families, with
+    its reason, or else every element with its class under the one-block
+    partition (a verdict only under the main hypothesis); one classify each."""
+    per = []
+    for s, ms in zip(c.poset.elements, c.poset.multisets):
+        cls = classify(ms)
+        if isinstance(cls, Inadmissible):
             return NotRealizable(s, cls.reason)
-        else:
-            return NotRealizable(s, cls)
+        per.append((s, cls))
     return Realizable(Partition((c.sorted_ids,) if c.sorted_ids else ()), tuple(per))
 
 
 def necessary_condition(c: ComplexWithDegrees) -> NotRealizable | None:
-    """The first poset element that classifies into none of the four
-    admissible families, with its reason, or None when every element does.
-    A refutation only while no two degree-4 generators share a face."""
-    for s in c.poset.elements:
-        cls = classify(c.degree_multiset(s))
-        if isinstance(cls, Inadmissible):
-            return NotRealizable(s, cls.reason)
-    return None
+    """_scan's refutation, or None when every element is admissible.  A
+    refutation only while no two degree-4 generators share a face."""
+    verdict = _scan(c)
+    return verdict if isinstance(verdict, NotRealizable) else None
 
 
 def _root_counts_fail(counts: Counter[int]) -> bool:
@@ -221,7 +221,8 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     elements = c.poset.elements
 
     # unplaced vertices of each degree, per element
-    left = {s: Counter(c.degree(v) for v in s if c.degree(v) >= 4) for s in elements}
+    left = {s: Counter(d for d in ms if d >= 4)
+            for s, ms in zip(elements, c.poset.multisets)}
     if any(_root_counts_fail(left[s]) for s in elements):
         return None
     holding = {v: [s for s in elements if v in s] for v in ids4}
@@ -300,9 +301,10 @@ def full_report(c: ComplexWithDegrees) -> Verdict:
     constructible, a partition must split its vertices of degree > 2 over
     two or more blocks (degree-2 vertices never decide a class), and each
     such block meets s in an SU or Sp chain holding a degree-4 vertex: two
-    on the face s, against the hypothesis.  Exceptional cannot occur under
-    it, so necessary_condition names decide_main's witness and reason.
-    Unknown is only reachable when the hypothesis fails.
+    on the face s, against the hypothesis.  decide_main is
+    necessary_condition's scan, and no element is Exceptional under the
+    hypothesis (its row holds 2^n >= 8 twice).  Unknown is only reachable
+    when the hypothesis fails.
     """
     verdict = decide_main(c)
     if not isinstance(verdict, HypothesisViolated):

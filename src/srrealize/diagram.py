@@ -26,12 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, get_type_hints
 
 from .admissible import AdmissibleClass, SpType, SUType, Torus, classify
-from .complexes import (
-    ComplexWithDegrees,
-    MalformedInput,
-    Simplex,
-    simplex_key,
-)
+from .complexes import ComplexWithDegrees, MalformedInput, Simplex
 from .decide import Partition
 
 
@@ -268,26 +263,24 @@ def expected_block_maps(src: SpaceLabel, tgt: SpaceLabel) -> tuple[BlockMap, ...
 
 def build_diagram(c: ComplexWithDegrees, partition: Partition) -> ColimitDiagram:
     """Nodes for every facet-intersection poset element, edges for covering
-    relations, all in canonical order; each element is labelled, named and
-    keyed once."""
+    relations, all in canonical order; each element is labelled and named
+    once, and every edge reads its two nodes."""
     check_partition(c, partition)
     poset = c.poset
-    labels = {s: label_node(c, s, partition) for s in poset.elements}
-    names = {s: node_name(s) for s in poset.elements}
-    keys = {s: simplex_key(s) for s in poset.elements}
-    nodes = tuple(
-        DiagramNode(names[s], keys[s], labels[s]) for s in poset.elements
-    )
-    edges = tuple(
-        DiagramEdge(names[s], names[t], EdgeLabel(
-            keys[s],
-            keys[t],
-            expected_block_maps(labels[s], labels[t]),
-            tuple((v, v if v in s else None) for v in keys[t]),
-        ))
-        for s, t in c.covers
-    )
-    return ColimitDiagram(partition, nodes, edges)
+    nodes = {
+        s: DiagramNode(node_name(k), k, label_node(c, s, partition))
+        for s, k in zip(poset.elements, poset.keys)
+    }
+    edges = []
+    for s, t in c.covers:
+        a, b = nodes[s], nodes[t]
+        edges.append(DiagramEdge(a.name, b.name, EdgeLabel(
+            a.simplex,
+            b.simplex,
+            expected_block_maps(a.blocks, b.blocks),
+            tuple((v, v if v in s else None) for v in b.simplex),
+        )))
+    return ColimitDiagram(partition, tuple(nodes.values()), tuple(edges))
 
 
 def _factor_pieces(bl: BlockLabel) -> list[str]:
@@ -317,9 +310,7 @@ def _lie_text(m: Iota1Power | Iota2Power) -> str:
 
 def edge_text(label: EdgeLabel) -> str:
     pieces = []
-    for bm in label.maps:
-        if bm.lie is None and bm.cp is None:
-            continue
+    for bm in label.maps:  # a block empty at both ends adds nothing
         if isinstance(bm.lie, FromPoint):
             pieces.append("const")
             continue

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import takewhile
 
-from .complexes import ComplexWithDegrees, DegreeMultiset, simplex_key
+from .complexes import ComplexWithDegrees, DegreeMultiset, NotAFace, simplex_key
 from .diagram import (
     ColimitDiagram,
     CPInfPower,
@@ -298,18 +298,18 @@ def verify_construction(
     projections on generators, (c) the gluing recurrence holds up to the
     truncation."""
     report = VerificationReport(truncation)
-    # each element's name and key, computed once and read for every cover
-    names = {s: node_name(s) for s in c.poset.elements}
-    keys = {s: simplex_key(s) for s in c.poset.elements}
-    expected_nodes = [(names[s], keys[s]) for s in c.poset.elements]
+    # each element's name and key, named once and read for every cover
+    named = {s: (node_name(k), k) for s, k in zip(c.poset.elements, c.poset.keys)}
+    expected_nodes = list(named.values())
     got_nodes = [(n.name, n.simplex) for n in diagram.nodes]
     if got_nodes != expected_nodes:
         report.structure_issues.append(
             f"diagram nodes {got_nodes} do not match the poset {expected_nodes}"
         )
-    expected_edges = [
-        (names[s], names[t], keys[s], keys[t]) for s, t in c.covers
-    ]
+    expected_edges = []
+    for s, t in c.covers:
+        (ns, ks), (nt, kt) = named[s], named[t]
+        expected_edges.append((ns, nt, ks, kt))
     got_edges = [
         (e.source, e.target, e.label.source, e.label.target) for e in diagram.edges
     ]
@@ -335,14 +335,15 @@ def verify_construction(
         report.structure_issues.append("diagram partition has an empty block")
 
     for node in diagram.nodes:
-        simplex = frozenset(node.simplex)
-        if not c.is_face(simplex):
+        try:
+            degrees = c.degree_multiset(node.simplex)
+        except NotAFace:
             report.structure_issues.append(f"node {node.name} is not a face")
             continue
         report.structure_issues.extend(
             _binding_issues(c, node, diagram.partition.blocks)
         )
-        want = free_hilbert(c.degree_multiset(simplex), truncation)
+        want = free_hilbert(degrees, truncation)
         have = free_hilbert(_label_degrees(node.blocks, truncation), truncation)
         check = NodeCheck(node.name, True)
         for d in range(0, truncation + 1, 2):

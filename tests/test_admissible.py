@@ -16,6 +16,7 @@ from srrealize.admissible import (
     TableMiss,
     ThomasRank,
     Torus,
+    _is_prime,
     adem_p3_check,
     aguade_table_member,
     class_degrees,
@@ -292,8 +293,24 @@ class TestDirichletPrime:
         assert dirichlet_prime([], 982) == 983  # strict lower bound
 
     def test_matches_naive_scan(self):
-        for bound in (0, 982, 983, 1000, 5000):
+        for bound in (0, 982, 983, 1000, 2663, 5000):
             assert dirichlet_prime([], bound) == naive_congruence_prime([], bound)
+        # past 2663 the next candidate is 4343 = 43 * 101, whose factors
+        # are no base, so Miller-Rabin itself must reject it
+        assert dirichlet_prime([], 2663) == 7703
+
+    def test_is_prime_matches_trial_division_below_20000(self):
+        assert all(_is_prime(n) == naive_is_prime(n) for n in range(2, 20000))
+
+    def test_is_prime_squaring_loop(self):
+        # 998244353 - 1 = 2^23 * 119: the loop squares up to 22 times
+        assert _is_prime(998244353)
+        # strong pseudoprimes to the bases 2, 3, 5 and 7, and to every base
+        # but 37: only later bases reject them
+        assert 151 * 751 * 28351 == 3215031751
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        assert not _is_prime(3215031751)
+        assert not _is_prime(3825123056546413051)
 
     def test_extra_primes(self):
         for extras in ([11], [13], [11, 13]):

@@ -136,7 +136,12 @@ def test_pmax_matches_subset_oracle():
     rng = random.Random(11)
     for _ in range(60):
         c = random_complex(rng)
-        assert list(pmax(c).elements) == brute_pmax(c)
+        poset = pmax(c)
+        assert list(poset.elements) == brute_pmax(c)
+        assert len(poset.keys) == len(poset.multisets) == len(poset.elements)
+        for e, key, ms in zip(poset.elements, poset.keys, poset.multisets):
+            assert key == simplex_key(e)
+            assert ms == c.degree_multiset(e)
 
 
 def test_pmax_closed_under_intersection_and_facets_maximal():

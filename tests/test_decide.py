@@ -85,6 +85,11 @@ class TestMainHypothesis:
     @given(complexes())
     def test_same_pair_as_testing_every_pair(self, c):
         assert check_main_hypothesis(c) == pairwise_main_hypothesis(c)
+        # decide_main has no Exceptional branch: under the hypothesis no
+        # poset element classifies as Exceptional
+        if check_main_hypothesis(c) is None:
+            assert not any(isinstance(classify(ms), Exceptional)
+                           for ms in c.poset.multisets), c
 
 
 class TestDecideMain:

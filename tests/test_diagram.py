@@ -276,6 +276,18 @@ class TestBuildDiagram:
             ("sigma_", "sigma_a", "const"),
             ("sigma_", "sigma_b", "const"),
         ]
+        # each edge also has a block that is empty at both ends, with
+        # neither a Lie nor a CP part, which adds nothing to the text
+        c = make_complex({"a": 4, "b": 6, "c": 4}, [{"a", "b"}, {"c"}])
+        d = build_diagram(c, Partition((("a", "b"), ("c",))))
+        assert [(e.source, e.target, edge_text(e.label)) for e in d.edges] == [
+            ("sigma_", "sigma_a_b", "const"),
+            ("sigma_", "sigma_c", "const"),
+        ]
+        assert all(
+            any(bm.lie is None and bm.cp is None for bm in e.label.maps)
+            for e in d.edges
+        )
 
     def test_mixed_product_node_text(self):
         c = make_complex({"t": 2, "u": 2, "a": 4, "b": 8}, [{"t", "u", "a", "b"}])
