@@ -89,8 +89,6 @@ class Inadmissible:
 
 AdmissibleClass = Torus | SUType | SpType | Exceptional | Inadmissible
 
-CONSTRUCTIBLE = (Torus, SUType, SpType)
-
 
 def su_degrees(n: int) -> DegreeMultiset:
     """n consecutive even degrees starting at 4."""

@@ -163,19 +163,24 @@ def node_name(s: Simplex | tuple[str, ...]) -> str:
     return "sigma_" + "_".join(sorted(s))
 
 
-def check_partition(c: ComplexWithDegrees, partition: Partition) -> None:
-    seen: set[str] = set()
-    for b in partition.blocks:
-        if not b:
-            raise ValueError("partition blocks must be nonempty")
-        for v in b:
-            c.degree(v)
-            if v in seen:
-                raise ValueError(f"vertex {v!r} appears in two blocks")
-            seen.add(v)
-    missing = set(c.sorted_ids) - seen
-    if missing:
-        raise ValueError(f"partition misses vertices {sorted(missing)}")
+def partition_issues(c: ComplexWithDegrees, partition: Partition) -> list[str]:
+    """What keeps a partition from being canonical for c: its blocks must
+    cover the vertex set, be disjoint, list their ids in strictly ascending
+    order and be nonempty."""
+    blocks = partition.blocks
+    covered = {v for b in blocks for v in b}
+    issues = []
+    if covered != set(c.sorted_ids):
+        issues.append("diagram partition does not cover the vertex set")
+    if sum(len(set(b)) for b in blocks) != len(covered):
+        issues.append("diagram partition blocks are not disjoint")
+    if any(a >= b for block in blocks for a, b in zip(block, block[1:])):
+        issues.append(
+            "diagram partition blocks are not in strictly ascending id order"
+        )
+    if not all(blocks):
+        issues.append("diagram partition has an empty block")
+    return issues
 
 
 def label_node(
@@ -210,14 +215,6 @@ def lie_degrees(f: FactorLabel) -> range:
     return range(0)
 
 
-def _lie_rank(f: FactorLabel) -> tuple[str, int]:
-    if isinstance(f, BSp):
-        return "Sp", f.n
-    if isinstance(f, BSU):
-        return "SU", f.n
-    return "none", 0
-
-
 def _block_map(bs: BlockLabel, bt: BlockLabel) -> BlockMap:
     src_empty = not bs.cp_vertices and not bs.lie_vertices
     tgt_empty = not bt.cp_vertices and not bt.lie_vertices
@@ -227,28 +224,30 @@ def _block_map(bs: BlockLabel, bt: BlockLabel) -> BlockMap:
         return BlockMap(bs.block, None, None)
     if src_empty:
         return BlockMap(bs.block, FromPoint(), None)
-    skind, sn = _lie_rank(bs.factor)
-    tkind, tn = _lie_rank(bt.factor)
+    # decided by the factors' kinds, not their ranks: a BSp(0) source is
+    # still a Lie factor
+    s, t = bs.factor, bt.factor
+    sn = s.n if isinstance(s, (BSp, BSU)) else 0
     lie: LieMap | None
-    if tkind == "none":
-        if skind != "none":
-            raise NoCanonicalMap("Lie factor cannot map to a torus factor")
-        lie = None
-    elif tkind == "Sp":
-        if skind == "SU":
+    if isinstance(t, BSp):
+        if isinstance(s, BSU):
             raise NoCanonicalMap("no standard map from a unitary factor into BSp")
-        if tn < sn:
+        if t.n < sn:
             raise NoCanonicalMap("symplectic rank cannot drop")
-        lie = Iota2Power(tn - sn)  # sn = 0 when the source has no Lie factor
-    else:  # target SU
-        if skind == "Sp":
-            if tn < 2 * sn:
+        lie = Iota2Power(t.n - sn)  # sn = 0 when the source has no Lie factor
+    elif isinstance(t, BSU):
+        if isinstance(s, BSp):
+            if t.n < 2 * sn:
                 raise NoCanonicalMap("unitary rank below twice the symplectic rank")
-            lie = Iota1Power(tn - 2 * sn, True)
+            lie = Iota1Power(t.n - 2 * sn, True)
         else:
-            if tn < sn:
+            if t.n < sn:
                 raise NoCanonicalMap("unitary rank cannot drop")
-            lie = Iota1Power(tn - sn, False)  # sn = 0 for a torus-only source
+            lie = Iota1Power(t.n - sn, False)  # sn = 0 for a torus-only source
+    elif isinstance(s, (BSp, BSU)):
+        raise NoCanonicalMap("Lie factor cannot map to a torus factor")
+    else:
+        lie = None
     cp = CPInclusion(bs.cp_vertices, bt.cp_vertices) if bt.cp_vertices else None
     if cp and not set(bs.cp_vertices) <= set(bt.cp_vertices):
         raise NoCanonicalMap("source coordinates missing from target")
@@ -264,8 +263,11 @@ def expected_block_maps(src: SpaceLabel, tgt: SpaceLabel) -> tuple[BlockMap, ...
 def build_diagram(c: ComplexWithDegrees, partition: Partition) -> ColimitDiagram:
     """Nodes for every facet-intersection poset element, edges for covering
     relations, all in canonical order; each element is labelled and named
-    once, and every edge reads its two nodes."""
-    check_partition(c, partition)
+    once, and every edge reads its two nodes.  A partition that verify
+    would reject (partition_issues) raises ValueError."""
+    issues = partition_issues(c, partition)
+    if issues:
+        raise ValueError(issues[0])
     poset = c.poset
     nodes = {
         s: DiagramNode(node_name(k), k, label_node(c, s, partition))

@@ -21,30 +21,20 @@ for a complex without facets it is {empty face}, the point.  Elements of
 weight 0 are skipped.
 
 All counts are exact Python integers; only even degrees carry anything, so a
-Hilbert function stores even degrees 0..D.  D is capped at MAX_TRUNCATION,
-which bounds the size of every table built here.
+Hilbert function up to an even degree D is a tuple h of D/2 + 1 entries,
+h[d // 2] the dimension in degree d.  D is capped at MAX_TRUNCATION, which
+bounds the size of every table built here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import ComplexWithDegrees, DegreeMultiset, Simplex
 
 MAX_TRUNCATION = 10_000
 
-
-@dataclass(frozen=True)
-class HilbertFunction:
-    """dims[d] for even d in 0..truncation; dims[0] is always 1."""
-
-    truncation: int
-    dims: Mapping[int, int]
-
-    def at(self, d: int) -> int:
-        if d < 0 or d > self.truncation:
-            raise ValueError(f"degree {d} outside truncation 0..{self.truncation}")
-        return self.dims.get(d, 0)
+# h[i] is the dimension in degree 2i, for i = 0 .. D/2
+Hilbert = tuple[int, ...]
 
 
 def check_truncation(d: int) -> None:
@@ -69,17 +59,14 @@ def _count_ways(degrees: Sequence[int], cap: int) -> list[int]:
     return ways
 
 
-def free_hilbert(ms: DegreeMultiset, truncation: int) -> HilbertFunction:
+def free_hilbert(ms: DegreeMultiset, truncation: int) -> Hilbert:
     """Hilbert function of a free polynomial ring on generators with the
     given even degrees."""
     check_truncation(truncation)
     for d in ms:
         if d <= 0 or d % 2 != 0:
             raise ValueError(f"generator degree {d} must be a positive even integer")
-    ways = _count_ways(ms, truncation)
-    return HilbertFunction(
-        truncation, {d: ways[d] for d in range(0, truncation + 1, 2)}
-    )
+    return tuple(_count_ways(ms, truncation)[::2])
 
 
 def bitmasks(c: ComplexWithDegrees, faces: Iterable[Simplex]) -> list[int]:
@@ -90,7 +77,7 @@ def bitmasks(c: ComplexWithDegrees, faces: Iterable[Simplex]) -> list[int]:
 
 def mobius_hilbert(
     c: ComplexWithDegrees, family: Iterable[int], truncation: int
-) -> HilbertFunction:
+) -> Hilbert:
     """Hilbert function of the Stanley-Reisner ring of the complex whose
     faces lie in some member of family, by Moebius inversion over family
     (faces as bitmasks of c's vertices, see bitmasks).  Exact when family
@@ -104,16 +91,16 @@ def mobius_hilbert(
         w = 1 - sum(cw for t, cw in weight.items() if t & s == s)
         if w:
             weight[s] = w
-    zero = dict.fromkeys(range(0, truncation + 1, 2), 0)
-    return add_free_hilbert(c, HilbertFunction(truncation, zero), weight)
+    return add_free_hilbert(c, (0,) * (truncation // 2 + 1), weight)
 
 
 def add_free_hilbert(
-    c: ComplexWithDegrees, base: HilbertFunction, weight: Mapping[int, int]
-) -> HilbertFunction:
+    c: ComplexWithDegrees, base: Hilbert, weight: Mapping[int, int]
+) -> Hilbert:
     """base plus the sum over s in weight of weight[s] times the Hilbert
-    function of Z[s] (faces as bitmasks of c's vertices, see bitmasks), with
-    one free-ring count per distinct degree multiset."""
+    function of Z[s] (faces as bitmasks of c's vertices, see bitmasks), up
+    to base's truncation, with one free-ring count per distinct degree
+    multiset."""
     # degree multisets are read from the set bits of each element (lowest
     # first), not from every vertex
     bit_degree = {1 << i: c.degree(v) for i, v in enumerate(c.sorted_ids)}
@@ -126,16 +113,15 @@ def add_free_hilbert(
             rest ^= low
         ms = tuple(sorted(degrees))
         per_multiset[ms] = per_multiset.get(ms, 0) + w
-    dims = dict(base.dims)
+    h = base
     for ms, w in per_multiset.items():
         if w:
-            ways = _count_ways(ms, base.truncation)
-            for d in dims:
-                dims[d] += w * ways[d]
-    return HilbertFunction(base.truncation, dims)
+            ways = _count_ways(ms, 2 * len(base) - 2)[::2]
+            h = tuple(a + w * b for a, b in zip(h, ways))
+    return h
 
 
-def sr_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
+def sr_hilbert(c: ComplexWithDegrees, truncation: int) -> Hilbert:
     """Hilbert function of the Stanley-Reisner ring, by Moebius inversion
     over the facet-intersection poset plus the empty face (so a complex
     without facets is the point)."""

@@ -48,9 +48,9 @@ from .diagram import (
     expected_block_maps,
     lie_degrees,
     node_name,
+    partition_issues,
 )
 from .hilbert import (
-    HilbertFunction,
     add_free_hilbert,
     bitmasks,
     check_truncation,
@@ -206,9 +206,7 @@ def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> Verifica
     report = VerificationReport(truncation)
     family = {0}  # F_0, the point
     weight = {0: 1}  # the nonzero Moebius weights over the family
-    prev_h = HilbertFunction(
-        truncation, {d: int(d == 0) for d in range(0, truncation + 1, 2)}
-    )
+    prev_h = (1,) + (0,) * (truncation // 2)
     for j, (facet, s) in enumerate(zip(c.facets, bitmasks(c, c.facets)), start=1):
         meet = {s & t for t in family}  # Q_j
         family |= meet
@@ -234,8 +232,8 @@ def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> Verifica
         free_h = free_hilbert(c.degree_multiset(facet), truncation)
         inter_h = mobius_hilbert(c, meet, truncation)
         rows = [
-            DegreeRow(d, cur_h.at(d), prev_h.at(d), free_h.at(d), inter_h.at(d))
-            for d in range(0, truncation + 1, 2)
+            DegreeRow(2 * i, *dims)
+            for i, dims in enumerate(zip(cur_h, prev_h, free_h, inter_h))
         ]
         report.steps.append(StepRecord(j, simplex_key(facet), rows))
         prev_h = cur_h
@@ -292,11 +290,11 @@ def verify_construction(
 ) -> VerificationReport:
     """Full verification: the partition's blocks are nonempty and disjoint,
     cover the vertex set and list their ids in strictly ascending order,
-    their canonical form; (a) node labels bind each generator to the vertex
-    of the right block (_binding_issues) and carry the free cohomology of
-    their simplices, (b) edge maps restrict to the Stanley-Reisner
-    projections on generators, (c) the gluing recurrence holds up to the
-    truncation."""
+    their canonical form (partition_issues, the rule build_diagram keeps);
+    (a) node labels bind each generator to the vertex of the right block
+    (_binding_issues) and carry the free cohomology of their simplices,
+    (b) edge maps restrict to the Stanley-Reisner projections on
+    generators, (c) the gluing recurrence holds up to the truncation."""
     report = VerificationReport(truncation)
     # each element's name and key, named once and read for every cover
     named = {s: (node_name(k), k) for s, k in zip(c.poset.elements, c.poset.keys)}
@@ -317,22 +315,7 @@ def verify_construction(
         report.structure_issues.append(
             f"diagram edges {got_edges} do not match covering pairs {expected_edges}"
         )
-    covered = {v for b in diagram.partition.blocks for v in b}
-    if covered != set(c.sorted_ids):
-        report.structure_issues.append(
-            "diagram partition does not cover the vertex set"
-        )
-    if sum(len(set(b)) for b in diagram.partition.blocks) != len(covered):
-        report.structure_issues.append(
-            "diagram partition blocks are not disjoint"
-        )
-    if any(a >= b for block in diagram.partition.blocks
-           for a, b in zip(block, block[1:])):
-        report.structure_issues.append(
-            "diagram partition blocks are not in strictly ascending id order"
-        )
-    if not all(diagram.partition.blocks):
-        report.structure_issues.append("diagram partition has an empty block")
+    report.structure_issues.extend(partition_issues(c, diagram.partition))
 
     for node in diagram.nodes:
         try:
@@ -345,12 +328,11 @@ def verify_construction(
         )
         want = free_hilbert(degrees, truncation)
         have = free_hilbert(_label_degrees(node.blocks, truncation), truncation)
-        check = NodeCheck(node.name, True)
-        for d in range(0, truncation + 1, 2):
-            if want.at(d) != have.at(d):
-                check = NodeCheck(node.name, False, d, want.at(d), have.at(d))
-                break
-        report.node_checks.append(check)
+        bad = next((i for i, (w, h) in enumerate(zip(want, have)) if w != h), None)
+        report.node_checks.append(
+            NodeCheck(node.name, True) if bad is None
+            else NodeCheck(node.name, False, 2 * bad, want[bad], have[bad])
+        )
 
     # By simplex, not by name: node_name joins ids with "_", so the names of
     # {a, b} and {a_b} coincide.

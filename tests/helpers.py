@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from hypothesis import HealthCheck, settings, strategies as st
@@ -24,7 +26,6 @@ from hypothesis import HealthCheck, settings, strategies as st
 from srrealize import classify, make_complex
 from srrealize.admissible import (
     _FIXED_TABLE_ROWS,
-    CONSTRUCTIBLE,
     AdemP3,
     AdmissibleClass,
     Exceptional,
@@ -52,7 +53,7 @@ from srrealize.complexes import (
 from srrealize.decide import Partition
 from srrealize.diagram import FACTOR_KINDS, MAP_KINDS, ColimitDiagram
 from srrealize.hilbert import (
-    HilbertFunction,
+    Hilbert,
     bitmasks,
     check_truncation,
     free_hilbert,
@@ -67,6 +68,17 @@ PROPERTY = settings(
     max_examples=200, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def cli_env(**extra: str) -> dict[str, str]:
+    """The environment for a `python -m srrealize.cli` child: this
+    checkout's src first on PYTHONPATH, which pytest's own pythonpath
+    setting does not pass on, then extra."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(
+        os.environ, PYTHONPATH=(src + os.pathsep + path) if path else src, **extra
+    )
 
 
 def ring_468() -> ComplexWithDegrees:
@@ -133,7 +145,7 @@ def naive_sr_count(c: ComplexWithDegrees, d: int) -> int:
     return walk(0, d, frozenset())
 
 
-def face_sum_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
+def face_sum_hilbert(c: ComplexWithDegrees, truncation: int) -> Hilbert:
     """Stanley-Reisner Hilbert function summed face by face: for every face,
     the monomials whose support is exactly that face (every exponent at
     least 1).  Lists every face, so it is exponential in the facet size."""
@@ -150,10 +162,10 @@ def face_sum_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
                 ways[d] += ways[d - deg]
         for off in range(0, truncation - base + 1, 2):
             dims[base + off] += ways[off]
-    return HilbertFunction(truncation, dims)
+    return tuple(dims[d] for d in range(0, truncation + 1, 2))
 
 
-def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunction:
+def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> Hilbert:
     """Count basis monomials by enumerating exponent vectors directly,
     pruning branches whose support already fails to be a face.  It shares
     no counting code with sr_hilbert and exists to cross-check it."""
@@ -180,7 +192,7 @@ def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> HilbertFunct
             walk(idx + 1, t, bumped)
             t += step
     walk(0, 0, frozenset())
-    return HilbertFunction(truncation, dims)
+    return tuple(dims[d] for d in range(0, truncation + 1, 2))
 
 
 def naive_covers(
@@ -323,7 +335,8 @@ def prefix_recurrence_check(
         facet_complex = _subcomplex_on_facets(c, (facet,))
         inter_h = sr_hilbert(intersection_complex(prev, facet_complex), truncation)
         rows = [
-            DegreeRow(d, cur_h.at(d), prev_h.at(d), free_h.at(d), inter_h.at(d))
+            DegreeRow(d, cur_h[d // 2], prev_h[d // 2], free_h[d // 2],
+                      inter_h[d // 2])
             for d in range(0, truncation + 1, 2)
         ]
         report.steps.append(StepRecord(j, simplex_key(facet), rows))
@@ -347,7 +360,8 @@ def reference_recurrence_check(
         free_h = free_hilbert(c.degree_multiset(facet), truncation)
         inter_h = mobius_hilbert(c, meet, truncation)
         rows = [
-            DegreeRow(d, cur_h.at(d), prev_h.at(d), free_h.at(d), inter_h.at(d))
+            DegreeRow(d, cur_h[d // 2], prev_h[d // 2], free_h[d // 2],
+                      inter_h[d // 2])
             for d in range(0, truncation + 1, 2)
         ]
         report.steps.append(StepRecord(j, simplex_key(facet), rows))
@@ -615,7 +629,7 @@ def unpruned_find_partition(c: ComplexWithDegrees) -> Partition | None:
 
     def admissible_so_far(s: Simplex) -> bool:
         return all(
-            isinstance(classify(block_multiset(s, b)), CONSTRUCTIBLE)
+            isinstance(classify(block_multiset(s, b)), (Torus, SUType, SpType))
             for b in range(nblocks)
         )
 
@@ -681,7 +695,8 @@ def brute_partition_exists(c: ComplexWithDegrees) -> bool:
     return any(
         all(
             isinstance(
-                classify([c.degree(v) for v in block if v in s]), CONSTRUCTIBLE
+                classify([c.degree(v) for v in block if v in s]),
+                (Torus, SUType, SpType),
             )
             for s in elements
             for block in part

@@ -1,7 +1,6 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 import hashlib
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import time
 
 import pytest
 
-from helpers import naive_congruence_prime, ring_double_fan
+from helpers import cli_env, naive_congruence_prime, ring_double_fan
 from srrealize import complexes
 from srrealize.admissible import sp_degrees
 from srrealize.cli import main as cli_main
@@ -105,10 +104,10 @@ def complex_json(c):
 
 
 def run(args, stdin="", hashseed="0"):
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
     return subprocess.run(
         [sys.executable, "-m", "srrealize.cli", *args],
-        input=stdin, capture_output=True, text=True, env=env,
+        input=stdin, capture_output=True, text=True,
+        env=cli_env(PYTHONHASHSEED=hashseed),
     )
 
 
@@ -152,6 +151,7 @@ class TestCheck:
         r = subprocess.run(
             [sys.executable, "-m", "srrealize.cli", "check"],
             input=stdin, capture_output=True, text=True, timeout=120,
+            env=cli_env(),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
         )
         assert r.returncode == 20
@@ -331,6 +331,7 @@ class TestVerify:
         r = subprocess.run(
             [sys.executable, "-m", "srrealize.cli", "verify", "--diagram", str(path)],
             input=RING_468, capture_output=True, text=True, timeout=120,
+            env=cli_env(),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
         )
         assert r.returncode == 1

@@ -17,7 +17,6 @@ from srrealize import (
     make_complex,
 )
 from srrealize.admissible import (
-    CONSTRUCTIBLE,
     Exceptional,
     SpType,
     SUType,
@@ -174,7 +173,7 @@ class TestFindPartition:
             for s in pmax(c).elements:
                 for block in part.blocks:
                     ms = tuple(sorted(c.degree(v) for v in block if v in s))
-                    assert isinstance(classify(ms), CONSTRUCTIBLE), (c, part, s)
+                    assert isinstance(classify(ms), (Torus, SUType, SpType)), (c, part, s)
         assert checked >= 20  # the generator must exercise the success path
 
     def test_succeeds_whenever_the_main_decision_does(self):

@@ -39,7 +39,7 @@ from srrealize.diagram import (
     expected_block_maps,
     label_node,
     node_name,
-    check_partition,
+    partition_issues,
     edge_text,
     node_text,
 )
@@ -85,24 +85,27 @@ class TestNames:
 
 
 class TestCheckPartition:
+    """partition_issues is verify's partition rule, and build_diagram
+    refuses every partition it names."""
+
     def test_accepts_valid(self):
-        check_partition(ring_468(), single_block(ring_468()))
+        assert partition_issues(ring_468(), single_block(ring_468())) == []
 
-    def test_rejects_empty_block(self):
-        with pytest.raises(ValueError):
-            check_partition(ring_468(), Partition((("x4", "x6", "x8"), ())))
-
-    def test_rejects_duplicate(self):
-        with pytest.raises(ValueError):
-            check_partition(ring_468(), Partition((("x4", "x6"), ("x6", "x8"))))
-
-    def test_rejects_missing_vertex(self):
-        with pytest.raises(ValueError):
-            check_partition(ring_468(), Partition((("x4", "x6"),)))
-
-    def test_rejects_unknown_vertex(self):
-        with pytest.raises(ValueError):
-            check_partition(ring_468(), Partition((("x4", "x6", "x8", "zz"),)))
+    @pytest.mark.parametrize("blocks", [
+        (("x4", "x6", "x8"), ()),
+        (("x4", "x6"), ("x6", "x8")),
+        (("x4", "x6"),),
+        (("x4", "x6", "x8", "zz"),),
+        (("x8", "x6", "x4"),),
+    ], ids=["empty_block", "duplicate", "missing_vertex", "unknown_vertex",
+            "descending_block"])
+    def test_rejects(self, blocks):
+        c, partition = ring_468(), Partition(blocks)
+        issues = partition_issues(c, partition)
+        assert issues
+        with pytest.raises(ValueError) as info:
+            build_diagram(c, partition)
+        assert str(info.value) == issues[0]
 
 
 class TestLabelNode:
@@ -209,6 +212,11 @@ class TestBlockMaps:
             expected_block_maps((sp2,), (su3,))
         with pytest.raises(NoCanonicalMap):
             expected_block_maps((sp1, sp2), (sp2,))
+        # a Lie factor into a torus, decided by its kind, so even BSp(0)
+        cp2 = BlockLabel(0, CPInfPower(2), ("u", "v"), ())
+        for lie in (BSp(0), BSp(1), BSU(2)):
+            with pytest.raises(NoCanonicalMap, match="torus"):
+                expected_block_maps((BlockLabel(0, lie, ("u",), ()),), (cp2,))
 
     def test_refuses_missing_cp_coordinate(self):
         bs = BlockLabel(0, CPInfPower(1), ("u",), ())
