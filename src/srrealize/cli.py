@@ -95,7 +95,7 @@ def class_to_text(cls: AdmissibleClass) -> str:
 def verdict_to_json(v: Verdict) -> dict:
     j: dict = {"verdict": type(v).__name__}
     if isinstance(v, (Realizable, SufficientOnly)):
-        j["partition"] = [list(b) for b in v.partition.blocks]
+        j["partition"] = [list(b) for b in v.partition]
     if isinstance(v, Realizable):
         j["per_sigma"] = [
             {"simplex": sorted(s), "class": class_to_json(cls)}
@@ -194,8 +194,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     part = find_partition(complex_from_json(_read_input(args.input)))
-    blocks = None if part is None else [list(b) for b in part.blocks]
-    text = "none" if part is None else " | ".join(",".join(b) for b in part.blocks)
+    blocks = None if part is None else [list(b) for b in part]
+    text = "none" if part is None else " | ".join(",".join(b) for b in part)
     _emit(args, {"partition": blocks}, lambda: text + "\n")
     return 0 if part is not None else 1
 
@@ -279,7 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:  # ComplexError is a ValueError
+    except (ValueError, OSError) as e:  # every srrealize error is a ValueError
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT_ERROR
 

@@ -24,30 +24,6 @@ class ComplexError(ValueError):
     """Invalid complex data; the message names the offending item."""
 
 
-class DuplicateVertex(ComplexError):
-    pass
-
-
-class UnknownVertexInFacet(ComplexError):
-    pass
-
-
-class NonMaximalFacet(ComplexError):
-    pass
-
-
-class OrphanVertex(ComplexError):
-    pass
-
-
-class OddOrNonpositiveDegree(ComplexError):
-    pass
-
-
-class UnknownVertex(ComplexError):
-    pass
-
-
 class NotAFace(ComplexError):
     pass
 
@@ -97,17 +73,17 @@ class ComplexWithDegrees:
         try:
             return self.degree_map[vertex]
         except KeyError:
-            raise UnknownVertex(f"unknown vertex {vertex!r}") from None
+            raise ComplexError(f"unknown vertex {vertex!r}") from None
 
     def validate(self) -> None:
         seen: set[str] = set()
         for v in self.vertices:
             if v.id in seen:
-                raise DuplicateVertex(f"duplicate vertex id {v.id!r}")
+                raise ComplexError(f"duplicate vertex id {v.id!r}")
             seen.add(v.id)
         for v in self.vertices:
             if v.degree <= 0 or v.degree % 2 != 0:
-                raise OddOrNonpositiveDegree(
+                raise ComplexError(
                     f"vertex {v.id!r} has degree {v.degree}; "
                     "degrees must be positive even integers"
                 )
@@ -116,25 +92,25 @@ class ComplexWithDegrees:
                 raise ComplexError("facets must be nonempty")
             for x in sorted(f):
                 if x not in seen:
-                    raise UnknownVertexInFacet(
+                    raise ComplexError(
                         f"facet {sorted(f)} mentions undeclared vertex {x!r}"
                     )
         for i, a in enumerate(self.facets):
             for j, b in enumerate(self.facets):
                 if i != j and a <= b:
-                    raise NonMaximalFacet(
+                    raise ComplexError(
                         f"facet {sorted(a)} is contained in facet {sorted(b)}"
                     )
         covered = set().union(*self.facets) if self.facets else set()
         for v in self.vertices:
             if v.id not in covered:
-                raise OrphanVertex(f"vertex {v.id!r} appears in no facet")
+                raise ComplexError(f"vertex {v.id!r} appears in no facet")
 
     def is_face(self, s: Iterable[str]) -> bool:
         s = frozenset(s)
         for x in s:
             if x not in self.degree_map:
-                raise UnknownVertex(f"unknown vertex {x!r}")
+                raise ComplexError(f"unknown vertex {x!r}")
         if not s:
             return True
         return any(s <= f for f in self.facets)

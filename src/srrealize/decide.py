@@ -43,11 +43,8 @@ from .admissible import (
 from .complexes import ComplexWithDegrees, Simplex
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Ordered blocks of vertex ids; block 0 carries all degree-2 vertices."""
-
-    blocks: tuple[tuple[str, ...], ...]
+# Ordered blocks of vertex ids; block 0 carries all degree-2 vertices.
+Partition = tuple[tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def _scan(c: ComplexWithDegrees) -> Realizable | NotRealizable:
         if isinstance(cls, Inadmissible):
             return NotRealizable(s, cls.reason)
         per.append((s, cls))
-    return Realizable(Partition((c.sorted_ids,) if c.sorted_ids else ()), tuple(per))
+    return Realizable((c.sorted_ids,) if c.sorted_ids else (), tuple(per))
 
 
 def necessary_condition(c: ComplexWithDegrees) -> NotRealizable | None:
@@ -286,7 +283,7 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
         blocks[0].extend(ids2)
     for v, b in zip(ids4, tried):
         blocks[b - 1].append(v)
-    return Partition(tuple(tuple(sorted(b)) for b in blocks))
+    return tuple(tuple(sorted(b)) for b in blocks)
 
 
 def full_report(c: ComplexWithDegrees) -> Verdict:

@@ -25,23 +25,9 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, get_type_hints
 
-from .admissible import AdmissibleClass, SpType, SUType, Torus, classify
+from .admissible import SpType, SUType, Torus, classify
 from .complexes import ComplexWithDegrees, MalformedInput, Simplex
 from .decide import Partition
-
-
-class InadmissibleSimplex(ValueError):
-    """A poset element meets a partition block in a multiset that is not a
-    Torus, SUType or SpType pattern, so no space can be assigned."""
-
-    def __init__(self, simplex: Simplex, block: int, cls: AdmissibleClass):
-        super().__init__(
-            f"simplex {sorted(simplex)} meets block {block} in an "
-            f"unconstructible multiset ({cls})"
-        )
-        self.simplex = simplex
-        self.block = block
-        self.cls = cls
 
 
 class NoCanonicalMap(ValueError):
@@ -167,18 +153,17 @@ def partition_issues(c: ComplexWithDegrees, partition: Partition) -> list[str]:
     """What keeps a partition from being canonical for c: its blocks must
     cover the vertex set, be disjoint, list their ids in strictly ascending
     order and be nonempty."""
-    blocks = partition.blocks
-    covered = {v for b in blocks for v in b}
+    covered = {v for b in partition for v in b}
     issues = []
     if covered != set(c.sorted_ids):
         issues.append("diagram partition does not cover the vertex set")
-    if sum(len(set(b)) for b in blocks) != len(covered):
+    if sum(len(set(b)) for b in partition) != len(covered):
         issues.append("diagram partition blocks are not disjoint")
-    if any(a >= b for block in blocks for a, b in zip(block, block[1:])):
+    if any(a >= b for block in partition for a, b in zip(block, block[1:])):
         issues.append(
             "diagram partition blocks are not in strictly ascending id order"
         )
-    if not all(blocks):
+    if not all(partition):
         issues.append("diagram partition has an empty block")
     return issues
 
@@ -187,7 +172,7 @@ def label_node(
     c: ComplexWithDegrees, s: Simplex, partition: Partition
 ) -> SpaceLabel:
     out: list[BlockLabel] = []
-    for bi, block in enumerate(partition.blocks):
+    for bi, block in enumerate(partition):
         inter = [v for v in block if v in s]
         cp = tuple(v for v in inter if c.degree(v) == 2)
         lie = tuple(
@@ -200,8 +185,11 @@ def label_node(
             factor = BSp(cls.n)
         elif isinstance(cls, SUType):
             factor = BSU(cls.n + 1)
-        else:
-            raise InadmissibleSimplex(s, bi, cls)
+        else:  # no space for a multiset outside Torus, SUType and SpType
+            raise ValueError(
+                f"simplex {sorted(s)} meets block {bi} in an "
+                f"unconstructible multiset ({cls})"
+            )
         out.append(BlockLabel(bi, factor, cp, lie))
     return tuple(out)
 
@@ -458,7 +446,7 @@ def emit_json(d: ColimitDiagram) -> str:
     diagram_from_json reads it back."""
     return _container("{", [
         _PARTITION + _container(
-            "[", [_ids_json(b, 2) for b in d.partition.blocks], "]", 1
+            "[", [_ids_json(b, 2) for b in d.partition], "]", 1
         ),
         _NODES + _container("[", [_node_json(n) for n in d.nodes], "]", 1),
         _EDGES + _container("[", [_edge_json(e) for e in d.edges], "]", 1),
@@ -508,7 +496,7 @@ def _block_map_from_json(m: object) -> BlockMap:
     lie = _need(m, "lie", "edge map")
     if lie is not None:
         lie = _kind_from_json(lie, MAP_KINDS, "map")
-    cp = m.get("cp")
+    cp = _need(m, "cp", "edge map")
     if cp is not None:
         cp = CPInclusion(_ids(cp, "source", "cp map"), _ids(cp, "target", "cp map"))
     return BlockMap(block, lie, cp)
@@ -537,10 +525,10 @@ def diagram_from_json(text: str) -> ColimitDiagram:
 
 
 def _diagram_from_obj(obj: object) -> ColimitDiagram:
-    partition = Partition(tuple(
+    partition = tuple(
         _id_tuple(b, "partition block")
         for b in _typed(obj, "partition", "file", list)
-    ))
+    )
     nodes = []
     for n in _typed(obj, "nodes", "file", list):
         blocks = tuple(

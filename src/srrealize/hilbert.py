@@ -22,8 +22,9 @@ weight 0 are skipped.
 
 All counts are exact Python integers; only even degrees carry anything, so a
 Hilbert function up to an even degree D is a tuple h of D/2 + 1 entries,
-h[d // 2] the dimension in degree d.  D is capped at MAX_TRUNCATION, which
-bounds the size of every table built here.
+h[d // 2] the dimension in degree d, and degrees are counted in units of 2:
+a generator of degree d steps the index by d/2.  D is capped at
+MAX_TRUNCATION, which bounds the size of every table built here.
 """
 from __future__ import annotations
 
@@ -48,14 +49,14 @@ def check_truncation(d: int) -> None:
         )
 
 
-def _count_ways(degrees: Sequence[int], cap: int) -> list[int]:
-    # ways[d] = number of exponent vectors over the given (distinguishable)
-    # generators with total degree d, 0 <= d <= cap
-    ways = [0] * (cap + 1)
-    ways[0] = 1
+def _count_ways(degrees: Sequence[int], length: int) -> list[int]:
+    # ways[i] = number of exponent vectors over the given (distinguishable)
+    # generators of even degree with total degree 2i, 0 <= i < length
+    ways = [1] + [0] * (length - 1)
     for deg in degrees:
-        for d in range(deg, cap + 1):
-            ways[d] += ways[d - deg]
+        half = deg // 2
+        for i in range(half, length):
+            ways[i] += ways[i - half]
     return ways
 
 
@@ -66,7 +67,7 @@ def free_hilbert(ms: DegreeMultiset, truncation: int) -> Hilbert:
     for d in ms:
         if d <= 0 or d % 2 != 0:
             raise ValueError(f"generator degree {d} must be a positive even integer")
-    return tuple(_count_ways(ms, truncation)[::2])
+    return tuple(_count_ways(ms, truncation // 2 + 1))
 
 
 def bitmasks(c: ComplexWithDegrees, faces: Iterable[Simplex]) -> list[int]:
@@ -116,7 +117,7 @@ def add_free_hilbert(
     h = base
     for ms, w in per_multiset.items():
         if w:
-            ways = _count_ways(ms, 2 * len(base) - 2)[::2]
+            ways = _count_ways(ms, len(base))
             h = tuple(a + w * b for a, b in zip(h, ways))
     return h
 

@@ -86,18 +86,24 @@ class StepRecord:
 @dataclass
 class NodeCheck:
     name: str
-    ok: bool
     first_bad_degree: int | None = None
     expected: int | None = None
     got: int | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_bad_degree is None
 
 
 @dataclass
 class EdgeCheck:
     source: str
     target: str
-    ok: bool
-    detail: str = ""
+    detail: str = ""  # why the edge fails; empty when it passes
+
+    @property
+    def ok(self) -> bool:
+        return not self.detail
 
 
 @dataclass
@@ -110,12 +116,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.structure_issues
-            and all(n.ok for n in self.node_checks)
-            and all(e.ok for e in self.edge_checks)
-            and all(s.ok for s in self.steps)
-        )
+        return self.first_discrepancy is None
 
     @property
     def first_discrepancy(self) -> str | None:
@@ -324,14 +325,14 @@ def verify_construction(
             report.structure_issues.append(f"node {node.name} is not a face")
             continue
         report.structure_issues.extend(
-            _binding_issues(c, node, diagram.partition.blocks)
+            _binding_issues(c, node, diagram.partition)
         )
         want = free_hilbert(degrees, truncation)
         have = free_hilbert(_label_degrees(node.blocks, truncation), truncation)
         bad = next((i for i, (w, h) in enumerate(zip(want, have)) if w != h), None)
         report.node_checks.append(
-            NodeCheck(node.name, True) if bad is None
-            else NodeCheck(node.name, False, 2 * bad, want[bad], have[bad])
+            NodeCheck(node.name) if bad is None
+            else NodeCheck(node.name, 2 * bad, want[bad], have[bad])
         )
 
     # By simplex, not by name: node_name joins ids with "_", so the names of
@@ -344,7 +345,7 @@ def verify_construction(
         )
         if e.label.generator_map != projection:
             report.edge_checks.append(EdgeCheck(
-                e.source, e.target, False,
+                e.source, e.target,
                 "generator map is not the Stanley-Reisner projection"))
             continue
         try:
@@ -353,15 +354,15 @@ def verify_construction(
             )
         except (KeyError, NoCanonicalMap) as err:
             report.edge_checks.append(
-                EdgeCheck(e.source, e.target, False, f"no canonical maps: {err}")
+                EdgeCheck(e.source, e.target, f"no canonical maps: {err}")
             )
             continue
         if e.label.maps != want_maps:
             report.edge_checks.append(EdgeCheck(
-                e.source, e.target, False,
+                e.source, e.target,
                 "stored maps disagree with the node labels"))
             continue
-        report.edge_checks.append(EdgeCheck(e.source, e.target, True))
+        report.edge_checks.append(EdgeCheck(e.source, e.target))
 
     report.steps.extend(pushout_recurrence_check(c, truncation).steps)
     return report

@@ -233,7 +233,7 @@ def reference_emit_json(d: ColimitDiagram) -> str:
     """diagram.emit_json as it was first written: the whole document as a
     dict, laid out by json.dumps(obj, indent=2)."""
     obj = {
-        "partition": [list(b) for b in d.partition.blocks],
+        "partition": [list(b) for b in d.partition],
         "nodes": [
             {
                 "name": n.name,
@@ -670,7 +670,7 @@ def unpruned_find_partition(c: ComplexWithDegrees) -> Partition | None:
         blocks[0].extend(ids2)
     for v in ids4:
         blocks[assign[v]].append(v)
-    return Partition(tuple(tuple(sorted(b)) for b in blocks))
+    return tuple(tuple(sorted(b)) for b in blocks)
 
 
 def _set_partitions(items: Sequence[str]) -> Iterable[list[list[str]]]:

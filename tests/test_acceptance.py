@@ -34,7 +34,7 @@ from srrealize.admissible import (
     sp_degrees,
     su_degrees,
 )
-from srrealize.decide import Partition, find_partition
+from srrealize.decide import find_partition
 from srrealize.diagram import BSp, BSU, edge_text, node_text
 from srrealize.hilbert import sr_hilbert
 from srrealize.verify import pushout_recurrence_check
@@ -183,7 +183,7 @@ def test_criterion_06_pushout_recurrence():
 
 def test_criterion_07_partition_search():
     verdict = full_report(single_facet((4, 4)))
-    ok = verdict == SufficientOnly(Partition((("g0_4",), ("g1_4",))))
+    ok = verdict == SufficientOnly((("g0_4",), ("g1_4",)))
     total = 0
     for c in antichain_complexes_24(4, 4):
         total += 1

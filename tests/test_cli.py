@@ -1,6 +1,8 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
 import hashlib
+import importlib
 import json
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import time
 import pytest
 
 from helpers import cli_env, naive_congruence_prime, ring_double_fan
+import srrealize
 from srrealize import complexes
 from srrealize.admissible import sp_degrees
 from srrealize.cli import main as cli_main
@@ -426,6 +429,29 @@ class TestInputHardening:
         path.write_text(json.dumps(obj))
         r = run(["verify", "--diagram", str(path)], RING_468)
         assert (r.returncode, r.stderr) == (2, f"error: {stderr}\n")
+
+    def test_edge_map_without_cp(self, tmp_path):
+        obj = json.loads(run(["construct"], RING_468).stdout)
+        del obj["edges"][0]["maps"][0]["cp"]
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(obj))
+        r = run(["verify", "--diagram", str(path)], RING_468)
+        assert (r.returncode, r.stderr) == (2, "error: diagram edge map is missing 'cp'\n")
+
+    def test_every_package_error_is_a_value_error(self):
+        # main's one `except (ValueError, OSError)` turns these into exit 2;
+        # an error class outside ValueError would end in a traceback
+        errors = [
+            obj for module in (
+                importlib.import_module(f"srrealize.{m.name}")
+                for m in pkgutil.iter_modules(srrealize.__path__)
+            )
+            for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+        assert errors
+        assert [e for e in errors if not issubclass(e, ValueError)] == []
 
     def test_max_degree_above_cap(self):
         r = run(["verify", "--max-degree", "10002"], RING_468)
@@ -853,6 +879,56 @@ class TestVerifyGoldenBytes:
                  "torus_20": TORUS_20}[name]
         r = run(["verify", "--format", fmt], stdin)
         assert r.returncode == 0
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+def _failing_mutation(obj, case):
+    if case == "factor_rank":
+        obj["nodes"][1]["factors"][0]["factor"]["n"] += 1
+    elif case == "generator_null":
+        obj["edges"][0]["generator_map"]["x4"] = None
+    elif case == "lie_power":
+        obj["edges"][1]["maps"][0]["lie"]["power"] += 1
+    elif case == "partition_missing_x8":
+        obj["partition"] = [["x4", "x6"]]
+    elif case == "last_edge_dropped":
+        obj["edges"].pop()
+    return obj
+
+
+class TestFailingVerifyGoldenBytes:
+    """sha256 of `verify --diagram` stdout for five single mutations of
+    RING_468's diagram, recorded while NodeCheck and EdgeCheck still stored
+    ok beside the reason it restates; a failing report's bytes show here."""
+
+    @pytest.mark.parametrize("case, fmt, digest", [
+        ("factor_rank", "json",
+         "a227a2b53548ee98b55b7a48ec28b8b6c541b68d7e5b9a4d3d44cdc6352f2436"),
+        ("factor_rank", "text",
+         "b8dbb0cfdc7c30a6d329c7e0d8ec11cd3b0e3ad070a0100b91b9338bc0d3967c"),
+        ("generator_null", "json",
+         "45f3adfc334b69f3a30a44a3256435644a5a1711f557050ff5fb15f81f19e29c"),
+        ("generator_null", "text",
+         "832f7310a57d7c083c1ecef434243c98db74554c8a510867b6e33dc609be5efb"),
+        ("lie_power", "json",
+         "68e4076cd2a17c7d8df891ae0f5a7243173d1d788b9d5ae7d416e3637162843f"),
+        ("lie_power", "text",
+         "ac57bec7ea279593ca142527a22765b2bbac6f8751ecf6c811ff3f1fa0ff5204"),
+        ("partition_missing_x8", "json",
+         "21b8d4213c9a05a0a8fd6cd75945b608939b1e1c81b2ee281ce2cc844b4f0af3"),
+        ("partition_missing_x8", "text",
+         "b039f8270b321e9f428688769a9b9d12e71144197941e330e7a1392212a82a91"),
+        ("last_edge_dropped", "json",
+         "27965e94b999eb495a531af94a57a3c4da1ac970e39a0e602f4d3f329546b392"),
+        ("last_edge_dropped", "text",
+         "890bda3800a1edb3645157172e5ee3ec18937d11e1b01fee0fee143f1873efa4"),
+    ])
+    def test_stdout_digest(self, case, fmt, digest, tmp_path):
+        obj = _failing_mutation(json.loads(run(["construct"], RING_468).stdout), case)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(obj))
+        r = run(["verify", "--diagram", str(path), "--format", fmt], RING_468)
+        assert (r.returncode, r.stderr) == (1, "")
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 

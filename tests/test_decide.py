@@ -25,7 +25,6 @@ from srrealize.admissible import (
 )
 from srrealize.complexes import pmax
 from srrealize.decide import (
-    Partition,
     check_main_hypothesis,
     decide_main,
     find_partition,
@@ -95,7 +94,7 @@ class TestDecideMain:
     def test_worked_example_realizable(self):
         v = decide_main(ring_468())
         assert isinstance(v, Realizable)
-        assert v.partition == Partition((("x4", "x6", "x8"),))
+        assert v.partition == (("x4", "x6", "x8"),)
         assert v.per_sigma == (
             (frozenset({"x4"}), SpType(1, 0)),
             (frozenset({"x4", "x6"}), SUType(2, 0)),
@@ -143,10 +142,10 @@ class TestNecessaryCondition:
 
 class TestFindPartition:
     def test_splits_two_4s(self):
-        assert find_partition(pair_of_4s()) == Partition((("a",), ("b",)))
+        assert find_partition(pair_of_4s()) == (("a",), ("b",))
 
     def test_single_block_when_already_constructible(self):
-        assert find_partition(ring_468()) == Partition((("x4", "x6", "x8"),))
+        assert find_partition(ring_468()) == (("x4", "x6", "x8"),)
 
     def test_no_partition_for_split_4_6(self):
         assert find_partition(ring_split46()) is None
@@ -156,7 +155,7 @@ class TestFindPartition:
 
     def test_degree_2_vertices_join_block_0(self):
         c = make_complex({"t": 2, "a": 4, "b": 4}, [{"t", "a", "b"}])
-        assert find_partition(c) == Partition((("a", "t"), ("b",)))
+        assert find_partition(c) == (("a", "t"), ("b",))
 
     def test_partition_is_valid_and_rechecks(self):
         rng = random.Random(7)
@@ -167,11 +166,11 @@ class TestFindPartition:
             if part is None:
                 continue
             checked += 1
-            ids = [v for block in part.blocks for v in block]
+            ids = [v for block in part for v in block]
             assert sorted(ids) == list(c.sorted_ids)
-            assert all(block for block in part.blocks)
+            assert all(block for block in part)
             for s in pmax(c).elements:
-                for block in part.blocks:
+                for block in part:
                     ms = tuple(sorted(c.degree(v) for v in block if v in s))
                     assert isinstance(classify(ms), (Torus, SUType, SpType)), (c, part, s)
         assert checked >= 20  # the generator must exercise the success path
@@ -253,7 +252,7 @@ class TestPartitionCountingRules:
         decide_main(ring_468())
         assert len(calls) > 0
         twos = tuple(f"e{i}" for i in range(7))
-        assert part == Partition(
+        assert part == (
             (tuple(sorted(("a0", "b6") + twos)),)
             + tuple((f"a{i}", f"b{6 - i}") for i in range(1, 7))
         )
@@ -262,9 +261,7 @@ class TestPartitionCountingRules:
 class TestFullReport:
     def test_fixture_verdicts(self):
         assert isinstance(full_report(ring_468()), Realizable)
-        assert full_report(pair_of_4s()) == SufficientOnly(
-            Partition((("a",), ("b",)))
-        )
+        assert full_report(pair_of_4s()) == SufficientOnly((("a",), ("b",)))
         assert full_report(ring_split46()) == NotRealizable(
             frozenset({"x6"}), TableMiss()
         )
@@ -346,12 +343,12 @@ class TestFullReport:
         def rename_verdict(v, f):
             if isinstance(v, Realizable):
                 return Realizable(
-                    Partition(tuple(tuple(f(x) for x in b) for b in v.partition.blocks)),
+                    tuple(tuple(f(x) for x in b) for b in v.partition),
                     tuple((frozenset(f(x) for x in s), cls) for s, cls in v.per_sigma),
                 )
             if isinstance(v, SufficientOnly):
                 return SufficientOnly(
-                    Partition(tuple(tuple(f(x) for x in b) for b in v.partition.blocks))
+                    tuple(tuple(f(x) for x in b) for b in v.partition)
                 )
             if isinstance(v, NotRealizable):
                 return NotRealizable(frozenset(f(x) for x in v.witness), v.reason)

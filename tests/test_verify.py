@@ -15,7 +15,7 @@ from srrealize import (
     verify_construction,
 )
 from srrealize.complexes import pmax
-from srrealize.decide import Partition, find_partition
+from srrealize.decide import find_partition
 from srrealize.diagram import BSp, BSU, BlockLabel, BlockMap, Iota2Power, Point
 from srrealize import verify
 from srrealize.hilbert import bitmasks, mobius_hilbert, sr_hilbert
@@ -307,7 +307,7 @@ class TestVerifyConstruction:
         c = ring_468()
         d = diagram_for(c)
         report = verify_construction(
-            c, dataclasses.replace(d, partition=Partition((("x4",),))), 20
+            c, dataclasses.replace(d, partition=(("x4",),)), 20
         )
         assert not report.passed
         assert "diagram partition does not cover the vertex set" in \
