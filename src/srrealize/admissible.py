@@ -99,10 +99,16 @@ def sp_degrees(n: int) -> DegreeMultiset:
     return tuple(range(4, 4 * n + 1, 4))
 
 
+def _mixed_row(n: int) -> DegreeMultiset:
+    """The table row {4, 8, ..., 4(n-1)} + {2n}, n entries."""
+    return tuple(sorted((*range(4, 4 * n - 3, 4), 2 * n)))
+
+
 def exceptional_degrees(n: int) -> DegreeMultiset:
+    """The mixed row at 2^(n-1) entries, which holds 2^n twice."""
     if n < 3:
         raise ValueError("exceptional family needs n >= 3")
-    return tuple(sorted(list(range(4, 2 ** (n + 1) - 3, 4)) + [2 ** n]))
+    return _mixed_row(2 ** (n - 1))
 
 
 def class_degrees(cls: AdmissibleClass) -> DegreeMultiset:
@@ -124,15 +130,6 @@ def _normalize(ms: Sequence[int]) -> DegreeMultiset:
         if d <= 0 or d % 2 != 0:
             raise ValueError(f"degree {d} must be a positive even integer")
     return out
-
-
-def _match_exceptional(rest: DegreeMultiset) -> int | None:
-    # exceptional_degrees(n) has 2^(n-1) entries, so the length fixes n
-    size = len(rest)
-    if size < 4 or size & (size - 1):
-        return None
-    n = size.bit_length()
-    return n if rest == exceptional_degrees(n) else None
 
 
 def thomas_rank_check(ms: Sequence[int]) -> ThomasRank | None:
@@ -181,7 +178,7 @@ def aguade_table_member(ms: Sequence[int]) -> bool:
     n >= 4, or a fixed row.  A multiset with two or more 4s is no row."""
     rest = tuple(d for d in _normalize(ms) if d != 2)
     n = len(rest)
-    mixed = tuple(sorted((*range(4, 4 * n - 3, 4), 2 * n))) if n >= 4 else None
+    mixed = _mixed_row(n) if n >= 4 else None
     return (n == 0 or rest in (su_degrees(n), sp_degrees(n), mixed)
             or rest in _FIXED_TABLE_ROWS)
 
@@ -199,9 +196,8 @@ def classify(ms: Sequence[int]) -> AdmissibleClass:
         return SpType(n, k2)  # {4} lands here, not in the unitary chain
     if rest == su_degrees(n):
         return SUType(n, k2)
-    exc = _match_exceptional(rest)
-    if exc is not None:
-        return Exceptional(exc, k2)
+    if n >= 4 and n & (n - 1) == 0 and rest == _mixed_row(n):
+        return Exceptional(n.bit_length(), k2)
     if rest.count(4) >= 2:
         return Inadmissible(MultipleDegree4())
     if not aguade_table_member(rest):

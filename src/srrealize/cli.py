@@ -133,7 +133,7 @@ def _emit(args: argparse.Namespace, obj: object, text: Callable[[], str]) -> Non
 
 
 def _default_truncation(c: ComplexWithDegrees) -> int:
-    top = max((v.degree for v in c.vertices), default=2)
+    top = max(c.degree_map.values(), default=2)
     return 6 * top
 
 

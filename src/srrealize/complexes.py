@@ -24,10 +24,6 @@ class ComplexError(ValueError):
     """Invalid complex data; the message names the offending item."""
 
 
-class NotAFace(ComplexError):
-    pass
-
-
 class MalformedInput(ComplexError):
     pass
 
@@ -38,22 +34,13 @@ def simplex_key(s: Iterable[str]) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class VertexDecl:
-    id: str
-    degree: int
-
-
-@dataclass(frozen=True)
 class ComplexWithDegrees:
-    """Facets plus degrees.  Facet order is preserved; it matters for the
-    step-by-step pushout verification, nowhere else."""
+    """Degrees plus facets.  The degree map keeps declaration order, the
+    order validate reports in; facet order matters for the step-by-step
+    pushout verification, nowhere else."""
 
-    vertices: tuple[VertexDecl, ...]
+    degree_map: Mapping[str, int]
     facets: tuple[Simplex, ...]
-
-    @cached_property
-    def degree_map(self) -> Mapping[str, int]:
-        return {v.id: v.degree for v in self.vertices}
 
     @cached_property
     def sorted_ids(self) -> tuple[str, ...]:
@@ -76,22 +63,17 @@ class ComplexWithDegrees:
             raise ComplexError(f"unknown vertex {vertex!r}") from None
 
     def validate(self) -> None:
-        seen: set[str] = set()
-        for v in self.vertices:
-            if v.id in seen:
-                raise ComplexError(f"duplicate vertex id {v.id!r}")
-            seen.add(v.id)
-        for v in self.vertices:
-            if v.degree <= 0 or v.degree % 2 != 0:
+        for v, d in self.degree_map.items():
+            if d <= 0 or d % 2 != 0:
                 raise ComplexError(
-                    f"vertex {v.id!r} has degree {v.degree}; "
+                    f"vertex {v!r} has degree {d}; "
                     "degrees must be positive even integers"
                 )
         for f in self.facets:
             if not f:
                 raise ComplexError("facets must be nonempty")
             for x in sorted(f):
-                if x not in seen:
+                if x not in self.degree_map:
                     raise ComplexError(
                         f"facet {sorted(f)} mentions undeclared vertex {x!r}"
                     )
@@ -102,9 +84,9 @@ class ComplexWithDegrees:
                         f"facet {sorted(a)} is contained in facet {sorted(b)}"
                     )
         covered = set().union(*self.facets) if self.facets else set()
-        for v in self.vertices:
-            if v.id not in covered:
-                raise ComplexError(f"vertex {v.id!r} appears in no facet")
+        for v in self.degree_map:
+            if v not in covered:
+                raise ComplexError(f"vertex {v!r} appears in no facet")
 
     def is_face(self, s: Iterable[str]) -> bool:
         s = frozenset(s)
@@ -118,7 +100,7 @@ class ComplexWithDegrees:
     def degree_multiset(self, s: Iterable[str]) -> DegreeMultiset:
         s = frozenset(s)
         if not self.is_face(s):
-            raise NotAFace(f"{sorted(s)} is not a face")
+            raise ComplexError(f"{sorted(s)} is not a face")
         return tuple(sorted(self.degree_map[x] for x in s))
 
 
@@ -127,8 +109,7 @@ def make_complex(
 ) -> ComplexWithDegrees:
     """Build and validate a complex from a degree map and facet list."""
     c = ComplexWithDegrees(
-        vertices=tuple(VertexDecl(i, d) for i, d in sorted(degrees.items())),
-        facets=tuple(frozenset(f) for f in facets),
+        dict(sorted(degrees.items())), tuple(frozenset(f) for f in facets)
     )
     c.validate()
     return c
@@ -253,7 +234,8 @@ def _complex_from_obj(obj: object) -> ComplexWithDegrees:
         raise MalformedInput('both "vertices" and "facets" are required')
     if not isinstance(obj["vertices"], list):
         raise MalformedInput('"vertices" must be a list')
-    decls = []
+    degrees: dict[str, int] = {}
+    duplicates = []
     for entry in obj["vertices"]:
         if not isinstance(entry, dict):
             raise MalformedInput(f"vertex entry {entry!r} must be an object")
@@ -268,7 +250,9 @@ def _complex_from_obj(obj: object) -> ComplexWithDegrees:
             raise MalformedInput(f"vertex id {vid!r} must be a string")
         if not isinstance(deg, int) or isinstance(deg, bool):
             raise MalformedInput(f"degree of vertex {vid!r} must be an integer")
-        decls.append(VertexDecl(vid, deg))
+        if vid in degrees:
+            duplicates.append(vid)
+        degrees[vid] = deg
     if not isinstance(obj["facets"], list):
         raise MalformedInput('"facets" must be a list of lists')
     facets = []
@@ -276,4 +260,7 @@ def _complex_from_obj(obj: object) -> ComplexWithDegrees:
         if not isinstance(f, list) or not all(isinstance(x, str) for x in f):
             raise MalformedInput(f"facet {f!r} must be a list of vertex ids")
         facets.append(frozenset(f))
-    return ComplexWithDegrees(tuple(decls), tuple(facets))
+    # reported once every entry has parsed, and before validate's checks
+    if duplicates:
+        raise ComplexError(f"duplicate vertex id {duplicates[0]!r}")
+    return ComplexWithDegrees(degrees, tuple(facets))

@@ -92,14 +92,12 @@ def _shared_pair(c: ComplexWithDegrees, degrees: set[int]) -> tuple[str, str] | 
     return min(pairs, default=None)
 
 
-def check_main_hypothesis(c: ComplexWithDegrees) -> tuple[str, str, int] | None:
-    """First pair of distinct vertices x < y with equal degree 2^i (i >= 2)
-    spanning a face, or None when the main hypothesis holds."""
+def check_main_hypothesis(c: ComplexWithDegrees) -> HypothesisViolated | None:
+    """The first pair x < y of vertices of equal degree 2^i (i >= 2) that
+    span a face, with that degree, or None when the main hypothesis holds."""
     powers = {d for d in c.degree_map.values() if d >= 4 and d & (d - 1) == 0}
     pair = _shared_pair(c, powers)
-    if pair is None:
-        return None
-    return (*pair, c.degree(pair[0]).bit_length() - 1)
+    return None if pair is None else HypothesisViolated(pair, c.degree(pair[0]))
 
 
 def decide_main(c: ComplexWithDegrees) -> Verdict:
@@ -107,11 +105,7 @@ def decide_main(c: ComplexWithDegrees) -> Verdict:
     scan.  No element is Exceptional while the hypothesis holds (its row
     holds 2^n >= 8 twice, two vertices of degree 2^n on one face), so every
     element that is not inadmissible is constructible."""
-    hit = check_main_hypothesis(c)
-    if hit is not None:
-        x, y, i = hit
-        return HypothesisViolated((x, y), 2 ** i)
-    return _scan(c)
+    return check_main_hypothesis(c) or _scan(c)
 
 
 def _scan(c: ComplexWithDegrees) -> Realizable | NotRealizable:

@@ -116,15 +116,6 @@ class BlockMap:
 
 
 @dataclass(frozen=True)
-class EdgeLabel:
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    maps: tuple[BlockMap, ...]
-    # target vertex -> source vertex carrying the same generator, or None
-    generator_map: tuple[tuple[str, str | None], ...]
-
-
-@dataclass(frozen=True)
 class DiagramNode:
     name: str
     simplex: tuple[str, ...]
@@ -133,9 +124,13 @@ class DiagramNode:
 
 @dataclass(frozen=True)
 class DiagramEdge:
-    source: str
+    source: str  # node names
     target: str
-    label: EdgeLabel
+    source_simplex: tuple[str, ...]
+    target_simplex: tuple[str, ...]
+    maps: tuple[BlockMap, ...]
+    # target vertex -> source vertex carrying the same generator, or None
+    generator_map: tuple[tuple[str, str | None], ...]
 
 
 @dataclass(frozen=True)
@@ -264,12 +259,11 @@ def build_diagram(c: ComplexWithDegrees, partition: Partition) -> ColimitDiagram
     edges = []
     for s, t in c.covers:
         a, b = nodes[s], nodes[t]
-        edges.append(DiagramEdge(a.name, b.name, EdgeLabel(
-            a.simplex,
-            b.simplex,
+        edges.append(DiagramEdge(
+            a.name, b.name, a.simplex, b.simplex,
             expected_block_maps(a.blocks, b.blocks),
             tuple((v, v if v in s else None) for v in b.simplex),
-        )))
+        ))
     return ColimitDiagram(partition, tuple(nodes.values()), tuple(edges))
 
 
@@ -298,9 +292,9 @@ def _lie_text(m: Iota1Power | Iota2Power) -> str:
     return head or "id"
 
 
-def edge_text(label: EdgeLabel) -> str:
+def edge_text(edge: DiagramEdge) -> str:
     pieces = []
-    for bm in label.maps:  # a block empty at both ends adds nothing
+    for bm in edge.maps:  # a block empty at both ends adds nothing
         if isinstance(bm.lie, FromPoint):
             pieces.append("const")
             continue
@@ -323,7 +317,7 @@ def emit_dot(d: ColimitDiagram) -> str:
     for edge in d.edges:
         lines.append(
             f'  {_dot_id(edge.source)} -> {_dot_id(edge.target)} '
-            f'[label="{edge_text(edge.label)}"];'
+            f'[label="{edge_text(edge)}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -412,14 +406,14 @@ def _edge_json(e: DiagramEdge) -> str:
     generators = [
         encode_basestring_ascii(v) + ": "
         + ("null" if img is None else encode_basestring_ascii(img))
-        for v, img in dict(e.label.generator_map).items()
+        for v, img in dict(e.generator_map).items()
     ]
     return _container("{", [
         _FROM + encode_basestring_ascii(e.source),
         _TO + encode_basestring_ascii(e.target),
-        _SOURCE + _ids_json(e.label.source, 3),
-        _TARGET + _ids_json(e.label.target, 3),
-        _MAPS + _container("[", [_block_map_json(bm) for bm in e.label.maps], "]", 3),
+        _SOURCE + _ids_json(e.source_simplex, 3),
+        _TARGET + _ids_json(e.target_simplex, 3),
+        _MAPS + _container("[", [_block_map_json(bm) for bm in e.maps], "]", 3),
         _GENERATOR_MAP + _container("{", generators, "}", 3),
     ], "}", 2)
 
@@ -550,13 +544,11 @@ def _diagram_from_obj(obj: object) -> ColimitDiagram:
         maps = tuple(
             _block_map_from_json(m) for m in _typed(e, "maps", "edge", list)
         )
-        label = EdgeLabel(
-            _ids(e, "source", "edge"),
-            _ids(e, "target", "edge"),
-            maps,
-            _generator_map(_need(e, "generator_map", "edge")),
-        )
+        # read in this order, which fixes the first error a file reports
+        source, target = _ids(e, "source", "edge"), _ids(e, "target", "edge")
+        generator_map = _generator_map(_need(e, "generator_map", "edge"))
         edges.append(DiagramEdge(
-            _typed(e, "from", "edge", str), _typed(e, "to", "edge", str), label
+            _typed(e, "from", "edge", str), _typed(e, "to", "edge", str),
+            source, target, maps, generator_map,
         ))
     return ColimitDiagram(partition, tuple(nodes), tuple(edges))

@@ -17,8 +17,8 @@ them; and every element containing m contains f.  So that sum is
 sum_{s >= m} c(s), which is 1 by the definition of c.  A face in no element
 of F is not a face of K and is counted 0 times.  The facet-intersection
 poset P is the smallest such family; P plus the empty face is another, and
-for a complex without facets it is {empty face}, the point.  Elements of
-weight 0 are skipped.
+for a complex without facets it is {empty face}, the point.  One loop,
+moebius_weights, weighs every family, and skips elements of weight 0.
 
 All counts are exact Python integers; only even degrees carry anything, so a
 Hilbert function up to an even degree D is a tuple h of D/2 + 1 entries,
@@ -76,6 +76,24 @@ def bitmasks(c: ComplexWithDegrees, faces: Iterable[Simplex]) -> list[int]:
     return [sum(bit[v] for v in s) for s in faces]
 
 
+def moebius_weights(
+    family: Iterable[int], above: Mapping[int, int] | None = None
+) -> dict[int, int]:
+    """The nonzero weights c(s) of the faces s in family (as bitmasks).
+    above holds weight from outside family, keyed by the face it lies
+    above: it counts toward every s inside its key."""
+    # top-down by size, so everything properly above s is weighed before s
+    # (an element of the same size containing s is s itself)
+    above = dict(above or {})
+    weight: dict[int, int] = {}
+    for s in sorted(family, key=int.bit_count, reverse=True):
+        w = 1 - sum(aw for k, aw in above.items() if k & s == s)
+        if w:
+            weight[s] = w
+            above[s] = above.get(s, 0) + w
+    return weight
+
+
 def mobius_hilbert(
     c: ComplexWithDegrees, family: Iterable[int], truncation: int
 ) -> Hilbert:
@@ -84,15 +102,8 @@ def mobius_hilbert(
     (faces as bitmasks of c's vertices, see bitmasks).  Exact when family
     is closed under intersection and contains every facet of that complex."""
     check_truncation(truncation)
-    # top-down by size, so everything properly above s is weighed before s
-    # (an element of the same size containing s is s itself); only nonzero
-    # weights are kept
-    weight: dict[int, int] = {}
-    for s in sorted(family, key=int.bit_count, reverse=True):
-        w = 1 - sum(cw for t, cw in weight.items() if t & s == s)
-        if w:
-            weight[s] = w
-    return add_free_hilbert(c, (0,) * (truncation // 2 + 1), weight)
+    zero = (0,) * (truncation // 2 + 1)
+    return add_free_hilbert(c, zero, moebius_weights(family))
 
 
 def add_free_hilbert(

@@ -20,8 +20,10 @@ updated.  The elements of F_j inside s_j are exactly Q_j and s_j (an element
 of F_{j-1} inside s_j is its own meet with s_j), and the weight of an
 element depends only on the elements above it and their weights.  Every new
 element lies inside s_j, so none lies above an element outside s_j, and no
-weight outside s_j changes.  Step j reweighs Q_j and s_j alone and adds the
-sum of (change in weight) * dim Z[r] over them.
+weight outside s_j changes.  Step j reweighs Q_j and s_j alone, through
+hilbert.moebius_weights with the outside weights grouped by their meet with
+s_j, the one weighing loop, and adds the sum of (change in weight) *
+dim Z[r] over them.
 The check still checks: that added sum equals dim Z[s_j] minus the sum over
 Q_j only because Moebius sums over both families count SR rings exactly (the
 argument in hilbert), and the update never reads the free or the
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import takewhile
 
-from .complexes import ComplexWithDegrees, DegreeMultiset, NotAFace, simplex_key
+from .complexes import ComplexError, ComplexWithDegrees, DegreeMultiset, simplex_key
 from .diagram import (
     ColimitDiagram,
     CPInfPower,
@@ -56,6 +58,7 @@ from .hilbert import (
     check_truncation,
     free_hilbert,
     mobius_hilbert,
+    moebius_weights,
 )
 
 
@@ -212,23 +215,21 @@ def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> Verifica
         meet = {s & t for t in family}  # Q_j
         family |= meet
         family.add(s)  # F_j
-        # Only the elements inside s, Q_j and s, are reweighed, top-down by
-        # size.  above[k] is the weight of the elements outside s whose meet
-        # with s is k, plus k's own once weighed; the elements properly
-        # above r are those counted at a k containing r.
+        # Only the elements inside s, Q_j and s, are reweighed.  above[k] is
+        # the weight of the elements outside s whose meet with s is k: an
+        # element outside s lies above r inside s exactly when its meet does.
         above: dict[int, int] = {}
         for t, w in weight.items():
             if t & s != t:
                 above[t & s] = above.get(t & s, 0) + w
+        inside = meet | {s}
+        new = moebius_weights(inside, above)
         change: dict[int, int] = {}
-        for r in sorted(meet | {s}, key=int.bit_count, reverse=True):
-            w = 1 - sum(aw for k, aw in above.items() if k & r == r)
-            above[r] = above.get(r, 0) + w
-            old = weight.pop(r, 0)
-            if w:
-                weight[r] = w
-            if w != old:
-                change[r] = w - old
+        for r in inside:
+            delta = new.get(r, 0) - weight.pop(r, 0)
+            if delta:
+                change[r] = delta
+        weight.update(new)
         cur_h = add_free_hilbert(c, prev_h, change)
         free_h = free_hilbert(c.degree_multiset(facet), truncation)
         inter_h = mobius_hilbert(c, meet, truncation)
@@ -309,9 +310,8 @@ def verify_construction(
     for s, t in c.covers:
         (ns, ks), (nt, kt) = named[s], named[t]
         expected_edges.append((ns, nt, ks, kt))
-    got_edges = [
-        (e.source, e.target, e.label.source, e.label.target) for e in diagram.edges
-    ]
+    got_edges = [(e.source, e.target, e.source_simplex, e.target_simplex)
+                 for e in diagram.edges]
     if got_edges != expected_edges:
         report.structure_issues.append(
             f"diagram edges {got_edges} do not match covering pairs {expected_edges}"
@@ -321,7 +321,7 @@ def verify_construction(
     for node in diagram.nodes:
         try:
             degrees = c.degree_multiset(node.simplex)
-        except NotAFace:
+        except ComplexError:  # an unknown vertex, or ids on no facet
             report.structure_issues.append(f"node {node.name} is not a face")
             continue
         report.structure_issues.extend(
@@ -339,25 +339,25 @@ def verify_construction(
     # {a, b} and {a_b} coincide.
     labels = {n.simplex: n.blocks for n in diagram.nodes}
     for e in diagram.edges:
-        src = frozenset(e.label.source)
+        src = frozenset(e.source_simplex)
         projection = tuple(
-            (v, v if v in src else None) for v in sorted(e.label.target)
+            (v, v if v in src else None) for v in sorted(e.target_simplex)
         )
-        if e.label.generator_map != projection:
+        if e.generator_map != projection:
             report.edge_checks.append(EdgeCheck(
                 e.source, e.target,
                 "generator map is not the Stanley-Reisner projection"))
             continue
         try:
             want_maps = expected_block_maps(
-                labels[e.label.source], labels[e.label.target]
+                labels[e.source_simplex], labels[e.target_simplex]
             )
         except (KeyError, NoCanonicalMap) as err:
             report.edge_checks.append(
                 EdgeCheck(e.source, e.target, f"no canonical maps: {err}")
             )
             continue
-        if e.label.maps != want_maps:
+        if e.maps != want_maps:
             report.edge_checks.append(EdgeCheck(
                 e.source, e.target,
                 "stored maps disagree with the node labels"))

@@ -46,11 +46,10 @@ from srrealize.complexes import (
     ComplexWithDegrees,
     DegreeMultiset,
     Simplex,
-    VertexDecl,
     all_faces,
     simplex_key,
 )
-from srrealize.decide import Partition
+from srrealize.decide import HypothesisViolated, Partition
 from srrealize.diagram import FACTOR_KINDS, MAP_KINDS, ColimitDiagram
 from srrealize.hilbert import (
     Hilbert,
@@ -207,10 +206,10 @@ def naive_covers(
     )
 
 
-def pairwise_main_hypothesis(c: ComplexWithDegrees) -> tuple[str, str, int] | None:
+def pairwise_main_hypothesis(c: ComplexWithDegrees) -> HypothesisViolated | None:
     """decide.check_main_hypothesis by testing every pair of distinct
     vertices x < y in id order: the first with equal degree 2^i (i >= 2)
-    that spans a face, as (x, y, i)."""
+    that spans a face, with that degree."""
     ids = c.sorted_ids
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
@@ -218,7 +217,7 @@ def pairwise_main_hypothesis(c: ComplexWithDegrees) -> tuple[str, str, int] | No
             d = c.degree(x)
             if d == c.degree(y) and d >= 4 and d & (d - 1) == 0:
                 if c.is_face({x, y}):
-                    return (x, y, d.bit_length() - 1)
+                    return HypothesisViolated((x, y), d)
     return None
 
 
@@ -254,8 +253,8 @@ def reference_emit_json(d: ColimitDiagram) -> str:
             {
                 "from": e.source,
                 "to": e.target,
-                "source": list(e.label.source),
-                "target": list(e.label.target),
+                "source": list(e.source_simplex),
+                "target": list(e.target_simplex),
                 "maps": [
                     {
                         "block": bm.block,
@@ -267,9 +266,9 @@ def reference_emit_json(d: ColimitDiagram) -> str:
                             "target": list(bm.cp.target),
                         },
                     }
-                    for bm in e.label.maps
+                    for bm in e.maps
                 ],
-                "generator_map": {v: img for v, img in e.label.generator_map},
+                "generator_map": {v: img for v, img in e.generator_map},
             }
             for e in d.edges
         ],
@@ -294,10 +293,7 @@ def _subcomplex_on_facets(
 ) -> ComplexWithDegrees:
     used = set().union(*facets) if facets else set()
     return ComplexWithDegrees(
-        vertices=tuple(
-            VertexDecl(v, parent.degree(v)) for v in sorted(used)
-        ),
-        facets=facets,
+        {v: parent.degree(v) for v in sorted(used)}, facets
     )
 
 
@@ -326,7 +322,7 @@ def prefix_recurrence_check(
     complex: the prefix complex K_j on the first j facets, and the
     intersection complex of K_{j-1} with the new facet."""
     report = VerificationReport(truncation)
-    prev = ComplexWithDegrees((), ())
+    prev = ComplexWithDegrees({}, ())
     prev_h = sr_hilbert(prev, truncation)
     for j, facet in enumerate(c.facets, start=1):
         current = _subcomplex_on_facets(c, c.facets[:j])
@@ -533,9 +529,7 @@ def shuffled_facets(
 ) -> ComplexWithDegrees:
     order = list(c.facets)
     rng.shuffle(order)
-    return make_complex(
-        {v.id: v.degree for v in c.vertices}, order
-    )
+    return make_complex(c.degree_map, order)
 
 
 def antichain_complexes_24(

@@ -96,7 +96,7 @@ def test_criterion_01_first_worked_example_diagram():
         ("sigma_x4_x6", "BSU(3)"),
         ("sigma_x4_x8", "BSp(2)"),
     ]
-    ok = ok and [(e.source, e.target, edge_text(e.label)) for e in d.edges] == [
+    ok = ok and [(e.source, e.target, edge_text(e)) for e in d.edges] == [
         ("sigma_x4", "sigma_x4_x6", "iota1 . iota3"),
         ("sigma_x4", "sigma_x4_x8", "iota2"),
     ]
@@ -110,7 +110,7 @@ def test_criterion_02_fan_examples_node_and_edge_multisets():
         ok = Counter(node_text(n.blocks) for n in d2.nodes) == Counter(
             {"BSU(4)": 3, "BSp(2)": 1}
         )
-        ok = ok and Counter(edge_text(e.label) for e in d2.edges) == Counter(
+        ok = ok and Counter(edge_text(e) for e in d2.edges) == Counter(
             {"iota3": 3}
         )
     d3 = constructible_diagram(ring_double_fan())
@@ -119,7 +119,7 @@ def test_criterion_02_fan_examples_node_and_edge_multisets():
         ok = Counter(node_text(n.blocks) for n in d3.nodes) == Counter(
             {"BSp(1)": 1, "BSU(3)": 2, "BSp(2)": 2, "BSU(4)": 4}
         )
-        ok = ok and Counter(edge_text(e.label) for e in d3.edges) == Counter(
+        ok = ok and Counter(edge_text(e) for e in d3.edges) == Counter(
             {"iota1 . iota3": 2, "iota2": 2, "iota1": 4, "iota3": 4}
         )
     report(2, ok)

@@ -17,6 +17,7 @@ from srrealize.admissible import (
     ThomasRank,
     Torus,
     _is_prime,
+    _mixed_row,
     adem_p3_check,
     aguade_table_member,
     class_degrees,
@@ -63,6 +64,25 @@ class TestFamilyDegrees:
         assert exceptional_degrees(4) == (4, 8, 12, 16, 16, 20, 24, 28)
         with pytest.raises(ValueError):
             exceptional_degrees(2)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_exceptional_closed_form(self, k):
+        assert exceptional_degrees(k) == tuple(
+            sorted([*range(4, 2 ** (k + 1) - 3, 4), 2 ** k])
+        )
+
+    def test_every_mixed_row_classifies_as_the_oracle(self):
+        # the table row {4, 8, ..., 4(n-1)} + {2n}: Exceptional exactly
+        # when n is a power of two, else the oracle's rejection
+        for n in range(4, 34):
+            for twos in ((), (2, 2)):
+                ms = twos + _mixed_row(n)
+                got = classify(ms)
+                assert got == reference_classify(ms), ms
+                if n & (n - 1) == 0:
+                    assert got == Exceptional(n.bit_length(), len(twos)), ms
+                else:
+                    assert isinstance(got, Inadmissible), ms
 
     def test_class_degrees_includes_2s(self):
         assert class_degrees(Torus(3)) == (2, 2, 2)

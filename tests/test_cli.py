@@ -101,7 +101,7 @@ COLLIDING_NAMES = json.dumps({
 
 def complex_json(c):
     return json.dumps({
-        "vertices": [{"id": v.id, "degree": v.degree} for v in c.vertices],
+        "vertices": [{"id": v, "degree": d} for v, d in c.degree_map.items()],
         "facets": [sorted(f) for f in c.facets],
     })
 
@@ -731,6 +731,77 @@ class TestBindingMutations:
                 "node sigma_t_u_x4 factor 0 does not bind the generators of "
                 "partition block 0"
             )
+
+
+def _unknown_id_mutations(obj):
+    """(label, diagram) for every diagram that differs from obj in one id,
+    replaced by the undeclared "zz": in a partition block, a node simplex,
+    a node factor's cp_vertices or lie_vertices ("zz" alone when the list
+    is empty), an edge's source or target simplex, or a generator_map key
+    or image."""
+    lists = [("partition", i) for i in range(len(obj["partition"]))]
+    for n, node in enumerate(obj["nodes"]):
+        lists.append(("nodes", n, "simplex"))
+        lists += [("nodes", n, "factors", f, key)
+                  for f in range(len(node["factors"]))
+                  for key in ("cp_vertices", "lie_vertices")]
+    lists += [("edges", e, key)
+              for e in range(len(obj["edges"])) for key in ("source", "target")]
+
+    def at(o, path):
+        for key in path:
+            o = o[key]
+        return o
+
+    for path in lists:
+        for j in range(max(len(at(obj, path)), 1)):
+            mutated = json.loads(json.dumps(obj))
+            at(mutated, path)[j:j + 1] = ["zz"]
+            yield f"{'/'.join(map(str, path))}/{j}", mutated
+    for e, edge in enumerate(obj["edges"]):
+        gmap = edge["generator_map"]
+        for v, img in gmap.items():
+            maps = [("key", {("zz" if w == v else w): x for w, x in gmap.items()})]
+            if img is not None:
+                maps.append(("image", {**gmap, v: "zz"}))
+            for what, value in maps:
+                mutated = json.loads(json.dumps(obj))
+                mutated["edges"][e]["generator_map"] = value
+                yield f"edges/{e}/generator_map {what} {v}", mutated
+
+
+class TestUnknownIds:
+    """An id the complex does not declare, in any id-bearing field of a
+    diagram, is a verification failure (exit 1), not an input error."""
+
+    def test_every_field_gives_a_failing_report(self, tmp_path):
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        report_path = tmp_path / "report.json"
+        complex_path.write_text(RING_468)
+        assert cli_main(["construct", str(complex_path), "-o", str(diagram_path)]) == 0
+        verify = ["verify", str(complex_path), "--diagram", str(diagram_path),
+                  "-o", str(report_path)]
+        labels = []
+        for label, mutated in _unknown_id_mutations(json.loads(diagram_path.read_text())):
+            diagram_path.write_text(json.dumps(mutated))
+            assert cli_main(verify) == 1, label
+            assert json.loads(report_path.read_text())["passed"] is False, label
+            labels.append(label)
+        assert len(labels) == 28
+        assert any(label.startswith("nodes/0/simplex") for label in labels)
+
+    def test_node_simplex_is_not_a_face(self, tmp_path):
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        complex_path.write_text(RING_468)
+        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
+        obj = json.loads(diagram_path.read_text())
+        assert obj["nodes"][0]["name"] == "sigma_x4"
+        obj["nodes"][0]["simplex"] = ["zz"]
+        diagram_path.write_text(json.dumps(obj))
+        r = run(["verify", str(complex_path), "--diagram", str(diagram_path),
+                 "--format", "text"])
+        assert (r.returncode, r.stderr) == (1, "")
+        assert "\n  structure: node sigma_x4 is not a face\n" in r.stdout
 
 
 class TestOnePosetPerCommand:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 import time
@@ -11,8 +12,6 @@ from srrealize import complex_from_json, make_complex
 from srrealize.complexes import (
     ComplexError,
     ComplexWithDegrees,
-    NotAFace,
-    VertexDecl,
     all_faces,
     pmax,
     simplex_key,
@@ -35,15 +34,36 @@ def test_validate_accepts_good_complex():
 
 
 def test_duplicate_vertex_rejected():
-    c = ComplexWithDegrees(
-        (VertexDecl("a", 4), VertexDecl("a", 6)), (frozenset({"a"}),)
-    )
+    text = json.dumps({
+        "vertices": [{"id": "a", "degree": 4}, {"id": "a", "degree": 6}],
+        "facets": [["a"]],
+    })
     with pytest.raises(ComplexError, match=re.escape("duplicate vertex id 'a'")):
-        c.validate()
+        complex_from_json(text)
+
+
+@pytest.mark.parametrize("vertices, facets, message", [
+    ([{"id": "a", "degree": 4}, {"id": "a", "degree": 6},
+      {"id": 5, "degree": 4}], [["a"]], "vertex id 5 must be a string"),
+    ([{"id": "a", "degree": 4}, {"id": "a", "degree": 6}], [["a", 5]],
+     "facet ['a', 5] must be a list of vertex ids"),
+    ([{"id": "a", "degree": 3}, {"id": "a", "degree": 4}], [["a"]],
+     "duplicate vertex id 'a'"),
+    ([{"id": "a", "degree": 4}, {"id": "a", "degree": 6}], [["a", "b"]],
+     "duplicate vertex id 'a'"),
+    ([{"id": v, "degree": 4} for v in "abba"], [["a", "b"]],
+     "duplicate vertex id 'b'"),
+], ids=["parse_error_first", "facet_error_first", "duplicate_before_degree",
+        "duplicate_before_facet_check", "first_repeat_named"])
+def test_error_precedence(vertices, facets, message):
+    # parse errors, then a duplicate id, then validate's checks
+    text = json.dumps({"vertices": vertices, "facets": facets})
+    with pytest.raises(ComplexError, match="^" + re.escape(message) + "$"):
+        complex_from_json(text)
 
 
 def test_unknown_vertex_in_facet_rejected():
-    c = ComplexWithDegrees((VertexDecl("a", 4),), (frozenset({"a", "b"}),))
+    c = ComplexWithDegrees({"a": 4}, (frozenset({"a", "b"}),))
     with pytest.raises(ComplexError, match=re.escape(
         "facet ['a', 'b'] mentions undeclared vertex 'b'"
     )):
@@ -65,9 +85,7 @@ def test_duplicate_facet_rejected():
 
 
 def test_orphan_vertex_rejected():
-    c = ComplexWithDegrees(
-        (VertexDecl("a", 4), VertexDecl("b", 6)), (frozenset({"a"}),)
-    )
+    c = ComplexWithDegrees({"a": 4, "b": 6}, (frozenset({"a"}),))
     with pytest.raises(ComplexError, match=re.escape("vertex 'b' appears in no facet")):
         c.validate()
 
@@ -114,7 +132,7 @@ def test_degree_multiset():
     c = ring_468()
     assert c.degree_multiset({"x4", "x6"}) == (4, 6)
     assert c.degree_multiset(set()) == ()
-    with pytest.raises(NotAFace):
+    with pytest.raises(ComplexError, match="is not a face"):
         c.degree_multiset({"x6", "x8"})
 
 

@@ -60,11 +60,11 @@ class TestMainHypothesis:
         assert check_main_hypothesis(ring_double_fan()) is None
 
     def test_degree_4_pair_on_a_face(self):
-        assert check_main_hypothesis(pair_of_4s()) == ("a", "b", 2)
+        assert check_main_hypothesis(pair_of_4s()) == HypothesisViolated(("a", "b"), 4)
 
     def test_degree_16_pair_on_a_face(self):
         c = make_complex({"p": 16, "q": 16}, [{"p", "q"}])
-        assert check_main_hypothesis(c) == ("p", "q", 4)
+        assert check_main_hypothesis(c) == HypothesisViolated(("p", "q"), 16)
 
     def test_degree_2_and_non_powers_are_exempt(self):
         c = make_complex({"s": 2, "t": 2, "u": 6, "v": 6}, [{"s", "t", "u", "v"}])
@@ -72,12 +72,12 @@ class TestMainHypothesis:
 
     def test_exceptional_multiset_violates(self):
         c = single_facet((4, 8, 8, 12))
-        assert check_main_hypothesis(c) == ("g1_8", "g2_8", 3)
+        assert check_main_hypothesis(c) == HypothesisViolated(("g1_8", "g2_8"), 8)
 
     def test_least_pair_whatever_the_facet_order(self):
         c = make_complex({"a": 8, "b": 8, "c": 4, "d": 4, "e": 4},
                          [{"c", "e"}, {"b", "d"}, {"a", "b"}, {"c", "d"}])
-        assert check_main_hypothesis(c) == ("a", "b", 3)
+        assert check_main_hypothesis(c) == HypothesisViolated(("a", "b"), 8)
 
     @PROPERTY
     @given(complexes())

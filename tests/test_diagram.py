@@ -24,7 +24,6 @@ from srrealize.diagram import (
     CPInfPower,
     DiagramEdge,
     DiagramNode,
-    EdgeLabel,
     FACTOR_KINDS,
     FromPoint,
     Iota1Power,
@@ -231,9 +230,10 @@ class TestBlockMaps:
 class TestBuildDiagram:
     def test_first_edge_maps_and_generator_map(self):
         c = ring_468()
-        e = build_diagram(c, single_block(c)).edges[0].label
-        assert e.source == ("x4",)
-        assert e.target == ("x4", "x6")
+        e = build_diagram(c, single_block(c)).edges[0]
+        assert (e.source, e.target) == ("sigma_x4", "sigma_x4_x6")
+        assert e.source_simplex == ("x4",)
+        assert e.target_simplex == ("x4", "x6")
         assert e.maps == (BlockMap(0, Iota1Power(1, True), None),)
         assert e.generator_map == (("x4", "x4"), ("x6", None))
 
@@ -241,7 +241,7 @@ class TestBuildDiagram:
         d = diagram_for(ring_468())
         assert [n.name for n in d.nodes] == ["sigma_x4", "sigma_x4_x6", "sigma_x4_x8"]
         assert [node_text(n.blocks) for n in d.nodes] == ["BSp(1)", "BSU(3)", "BSp(2)"]
-        assert [(e.source, e.target, edge_text(e.label)) for e in d.edges] == [
+        assert [(e.source, e.target, edge_text(e)) for e in d.edges] == [
             ("sigma_x4", "sigma_x4_x6", "iota1 . iota3"),
             ("sigma_x4", "sigma_x4_x8", "iota2"),
         ]
@@ -251,7 +251,7 @@ class TestBuildDiagram:
         assert len(d.nodes) == 4 and len(d.edges) == 3
         texts = sorted(node_text(n.blocks) for n in d.nodes)
         assert texts == ["BSU(4)", "BSU(4)", "BSU(4)", "BSp(2)"]
-        assert all(edge_text(e.label) == "iota3" for e in d.edges)
+        assert all(edge_text(e) == "iota3" for e in d.edges)
 
     def test_double_fan_counts(self):
         d = diagram_for(ring_double_fan())
@@ -263,7 +263,7 @@ class TestBuildDiagram:
         assert node_counts == {"BSp(1)": 1, "BSU(3)": 2, "BSp(2)": 2, "BSU(4)": 4}
         edge_counts = {}
         for e in d.edges:
-            t = edge_text(e.label)
+            t = edge_text(e)
             edge_counts[t] = edge_counts.get(t, 0) + 1
         assert edge_counts == {
             "iota1": 4,
@@ -277,7 +277,7 @@ class TestBuildDiagram:
         d = diagram_for(c)
         assert [n.name for n in d.nodes] == ["sigma_", "sigma_a", "sigma_b"]
         assert node_text(d.nodes[0].blocks) == "pt"
-        assert [(e.source, e.target, edge_text(e.label)) for e in d.edges] == [
+        assert [(e.source, e.target, edge_text(e)) for e in d.edges] == [
             ("sigma_", "sigma_a", "const"),
             ("sigma_", "sigma_b", "const"),
         ]
@@ -285,12 +285,12 @@ class TestBuildDiagram:
         # neither a Lie nor a CP part, which adds nothing to the text
         c = make_complex({"a": 4, "b": 6, "c": 4}, [{"a", "b"}, {"c"}])
         d = build_diagram(c, (("a", "b"), ("c",)))
-        assert [(e.source, e.target, edge_text(e.label)) for e in d.edges] == [
+        assert [(e.source, e.target, edge_text(e)) for e in d.edges] == [
             ("sigma_", "sigma_a_b", "const"),
             ("sigma_", "sigma_c", "const"),
         ]
         assert all(
-            any(bm.lie is None and bm.cp is None for bm in e.label.maps)
+            any(bm.lie is None and bm.cp is None for bm in e.maps)
             for e in d.edges
         )
 
@@ -309,7 +309,7 @@ class TestBuildDiagram:
         # direct projection for any comparable pair
         for c in (ring_double_fan(), ring_fan6(3), ring_468()):
             d = diagram_for(c)
-            gm = {(e.source, e.target): dict(e.label.generator_map) for e in d.edges}
+            gm = {(e.source, e.target): dict(e.generator_map) for e in d.edges}
             simplex_of = {n.name: frozenset(n.simplex) for n in d.nodes}
             for (a, b), m_ab in gm.items():
                 for (b2, cname), m_bc in gm.items():
@@ -363,7 +363,7 @@ class TestEmission:
             BlockLabel(i, f, (), ()) for i, (f, _) in enumerate(factors)
         ))
         maps_label = tuple(BlockMap(i, m, None) for i, (m, _) in enumerate(maps))
-        edge = DiagramEdge("n", "n", EdgeLabel((), (), maps_label, ()))
+        edge = DiagramEdge("n", "n", (), (), maps_label, ())
         d = ColimitDiagram((("a",),), (node,), (edge,))
         text = emit_json(d)
         obj = json.loads(text)
@@ -466,8 +466,8 @@ class TestJsonBytes:
         d = ColimitDiagram(
             ((),),
             (DiagramNode("sigma_", (), (point,)),),
-            (DiagramEdge("sigma_", "sigma_", EdgeLabel(
-                (), (), (BlockMap(0, None, None),), ())),),
+            (DiagramEdge(
+                "sigma_", "sigma_", (), (), (BlockMap(0, None, None),), ()),),
         )
         text = emit_json(d)
         assert text == reference_emit_json(d)
@@ -498,10 +498,10 @@ class TestJsonBytes:
             BlockLabel(i, f, ("a",) if i % 2 else (), ("b",))
             for i, f in enumerate(factors)
         ))
-        edge = DiagramEdge("n", "n", EdgeLabel(("a",), ("a", "b"), tuple(
+        edge = DiagramEdge("n", "n", ("a",), ("a", "b"), tuple(
             BlockMap(i, m, CPInclusion(("a",), ("a", "b")) if i % 2 else None)
             for i, m in enumerate(maps)
-        ), (("a", "a"), ("b", None))))
+        ), (("a", "a"), ("b", None)))
         d = ColimitDiagram((("a", "b"),), (node,), (edge,))
         text = emit_json(d)
         assert text == reference_emit_json(d)
@@ -517,5 +517,5 @@ def test_edges_are_the_triple_loop_covering_pairs(c):
     # every drawn complex has a diagram.
     c = make_complex({v: 2 for v in c.sorted_ids}, c.facets)
     d = build_diagram(c, full_report(c).partition)
-    assert [(frozenset(e.label.source), frozenset(e.label.target))
+    assert [(frozenset(e.source_simplex), frozenset(e.target_simplex))
             for e in d.edges] == list(naive_covers(c.poset.elements))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srrealize import make_complex
-from srrealize.complexes import NotAFace
+from srrealize.complexes import ComplexError
 from srrealize.hilbert import MAX_TRUNCATION, free_hilbert, sr_hilbert
 
 from helpers import (
@@ -116,7 +116,7 @@ class TestRestrictToSimplex:
         assert c.degree_multiset(frozenset()) == ()
 
     def test_rejects_nonface(self):
-        with pytest.raises(NotAFace):
+        with pytest.raises(ComplexError, match="is not a face"):
             ring_468().degree_multiset(frozenset({"x6", "x8"}))
 
     def test_restriction_carries_the_free_ring(self):

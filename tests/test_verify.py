@@ -103,7 +103,7 @@ class TestPushoutRecurrence:
     @given(complexes(), st.randoms(use_true_random=False))
     def test_report_matches_the_from_scratch_oracle(self, c, rng):
         c = shuffled_facets(c, rng)
-        d = 6 * max((v.degree for v in c.vertices), default=2)
+        d = 6 * max(c.degree_map.values(), default=2)
         assert pushout_recurrence_check(c, d).to_json_dict() == \
             reference_recurrence_check(c, d).to_json_dict()
 
@@ -274,10 +274,9 @@ class TestVerifyConstruction:
         c = ring_468()
         d = diagram_for(c)
         edge = d.edges[0]
-        label = dataclasses.replace(
-            edge.label, generator_map=(("x4", "x4"), ("x6", "x4"))
-        )
-        edges = (dataclasses.replace(edge, label=label),) + d.edges[1:]
+        edges = (dataclasses.replace(
+            edge, generator_map=(("x4", "x4"), ("x6", "x4"))
+        ),) + d.edges[1:]
         report = verify_construction(c, dataclasses.replace(d, edges=edges), 20)
         assert not report.passed
         bad = next(e for e in report.edge_checks if not e.ok)
@@ -287,8 +286,9 @@ class TestVerifyConstruction:
         c = ring_468()
         d = diagram_for(c)
         edge = d.edges[1]  # sigma_x4 -> sigma_x4_x8, iota2
-        label = dataclasses.replace(edge.label, maps=(BlockMap(0, Iota2Power(2), None),))
-        edges = d.edges[:1] + (dataclasses.replace(edge, label=label),)
+        edges = d.edges[:1] + (dataclasses.replace(
+            edge, maps=(BlockMap(0, Iota2Power(2), None),)
+        ),)
         report = verify_construction(c, dataclasses.replace(d, edges=edges), 20)
         assert not report.passed
         bad = next(e for e in report.edge_checks if not e.ok)
