@@ -6,7 +6,8 @@ JSON unless --format selects text or dot.
 
 Exit codes: 0 realizable (or success), 10 sufficient-only, 20 not realizable,
 30 unknown, 40 hypothesis violated, 1 verification discrepancy or no
-partition, 2 malformed input, invalid complex or diagram, a truncation
+partition, 2 malformed input, invalid complex or diagram, a
+facet-intersection poset above complexes.MAX_POSET_ELEMENTS, a truncation
 above hilbert.MAX_TRUNCATION, or a prime beyond admissible._MR_BOUND.
 """
 from __future__ import annotations

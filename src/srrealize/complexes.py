@@ -19,6 +19,9 @@ DegreeMultiset = tuple[int, ...]
 
 EMPTY_SIMPLEX: Simplex = frozenset()
 
+# pmax stops past this many elements, as |P| can reach 2^(facets) - 1
+MAX_POSET_ELEMENTS = 2**14
+
 
 class ComplexError(ValueError):
     """Invalid complex data; the message names the offending item."""
@@ -77,15 +80,19 @@ class ComplexWithDegrees:
                     raise ComplexError(
                         f"facet {sorted(f)} mentions undeclared vertex {x!r}"
                     )
+        # facet i lies in another iff its vertices share a bit other than i
+        vertex_facets = facet_bitsets(self.facets)
         for i, a in enumerate(self.facets):
-            for j, b in enumerate(self.facets):
-                if i != j and a <= b:
-                    raise ComplexError(
-                        f"facet {sorted(a)} is contained in facet {sorted(b)}"
-                    )
-        covered = set().union(*self.facets) if self.facets else set()
+            others = ~(1 << i)
+            for v in a:
+                others &= vertex_facets[v]
+            if others:
+                b = self.facets[(others & -others).bit_length() - 1]
+                raise ComplexError(
+                    f"facet {sorted(a)} is contained in facet {sorted(b)}"
+                )
         for v in self.degree_map:
-            if v not in covered:
+            if v not in vertex_facets:
                 raise ComplexError(f"vertex {v!r} appears in no facet")
 
     def is_face(self, s: Iterable[str]) -> bool:
@@ -102,6 +109,15 @@ class ComplexWithDegrees:
         if not self.is_face(s):
             raise ComplexError(f"{sorted(s)} is not a face")
         return tuple(sorted(self.degree_map[x] for x in s))
+
+
+def facet_bitsets(facets: Iterable[Simplex]) -> dict[str, int]:
+    """Each vertex's facets as a bitset, bit i for the i-th facet."""
+    out: dict[str, int] = {}
+    for i, f in enumerate(facets):
+        for v in f:
+            out[v] = out.get(v, 0) | 1 << i
+    return out
 
 
 def make_complex(
@@ -160,10 +176,7 @@ class MaxIntersectionPoset:
         and s | {v} has none when that set is empty."""
         if len(self.elements) < 2:
             return ()  # no pair, and no per-vertex set-up for one facet
-        vertex_facets: dict[str, int] = {}
-        for i, f in enumerate(self.facets):
-            for v in f:
-                vertex_facets[v] = vertex_facets.get(v, 0) | 1 << i
+        vertex_facets = facet_bitsets(self.facets)
         every_facet = (1 << len(self.facets)) - 1
         keys = []
         for s in self.elements:
@@ -194,10 +207,14 @@ class MaxIntersectionPoset:
 def pmax(c: ComplexWithDegrees) -> MaxIntersectionPoset:
     """Compute the facet-intersection poset one facet at a time: with the
     intersections of every nonempty subset of the earlier facets in els,
-    those that use facet f too are f itself and f & e for e in els."""
+    those that use facet f too are f itself and f & e for e in els.  A step
+    at most doubles els, which raises once past MAX_POSET_ELEMENTS."""
     els: set[Simplex] = set()
     for f in c.facets:
         els |= {f & e for e in els} | {f}
+        if len(els) > MAX_POSET_ELEMENTS:
+            raise ComplexError(f"facet-intersection poset exceeds the cap "
+                               f"of {MAX_POSET_ELEMENTS} elements")
     keys = tuple(sorted(map(simplex_key, els)))
     return MaxIntersectionPoset(
         tuple(map(frozenset, keys)), c.facets, keys,

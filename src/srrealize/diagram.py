@@ -330,29 +330,35 @@ _NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
 _ITEM_SEP = tuple("," + nl for nl in _NEWLINE)
 
 
-def _key(name: str) -> str:
-    return encode_basestring_ascii(name) + ": "
-
-
-_KIND_HEADS = {
-    cls: (_key("kind") + encode_basestring_ascii(kind),
-          tuple((name, _key(name)) for name, _ in _FIELDS[cls]))
-    for cls, kind in _KIND_NAMES.items()
-}
-(_PARTITION, _NODES, _EDGES, _NAME, _SIMPLEX, _FACTORS, _BLOCK, _FACTOR,
- _CP_VERTICES, _LIE_VERTICES, _FROM, _TO, _SOURCE, _TARGET, _MAPS, _LIE, _CP,
- _GENERATOR_MAP) = map(_key, (
-    "partition", "nodes", "edges", "name", "simplex", "factors", "block",
-    "factor", "cp_vertices", "lie_vertices", "from", "to", "source", "target",
-    "maps", "lie", "cp", "generator_map"))
-
-
 def _container(open_: str, items: list[str], close: str, depth: int) -> str:
     """Encoded items in a JSON container whose closing bracket sits at depth."""
     if not items:
         return open_ + close
     return (open_ + _NEWLINE[depth + 1] + _ITEM_SEP[depth + 1].join(items)
             + _NEWLINE[depth] + close)
+
+
+def _record(depth: int, *keys: str) -> str:
+    """An object at depth with these keys, as a template: one %s per value."""
+    return _container(
+        "{", [encode_basestring_ascii(k) + ": %s" for k in keys], "}", depth
+    )
+
+
+# Each record's layout, built once; a slot takes a value already encoded at
+# the slot's depth.  Filling slots is one % pass, so data never becomes a
+# template.  A kind's head is filled in here and its field slots put back.
+_FILE = _record(0, "partition", "nodes", "edges") + "\n"
+_NODE = _record(2, "name", "simplex", "factors")
+_FACTOR = _record(4, "block", "factor", "cp_vertices", "lie_vertices")
+_EDGE = _record(2, "from", "to", "source", "target", "maps", "generator_map")
+_MAP = _record(4, "block", "lie", "cp")
+_CP = _record(5, "source", "target")
+_KIND = {
+    cls: _record(5, "kind", *(name for name, _ in _FIELDS[cls]))
+    % (encode_basestring_ascii(kind), *["%s"] * len(_FIELDS[cls]))
+    for cls, kind in _KIND_NAMES.items()
+}
 
 
 def _ids_json(ids: Iterable[str], depth: int) -> str:
@@ -365,42 +371,33 @@ def _scalar_json(value: int | bool) -> str:
     return int.__repr__(value)
 
 
-def _kind_json(value: FactorLabel | LieMap, depth: int) -> str:
-    head, fields = _KIND_HEADS[type(value)]
-    return _container("{", [head] + [
-        key + _scalar_json(getattr(value, name)) for name, key in fields
-    ], "}", depth)
+def _kind_json(value: FactorLabel | LieMap) -> str:
+    cls = type(value)
+    return _KIND[cls] % tuple(
+        _scalar_json(getattr(value, name)) for name, _ in _FIELDS[cls]
+    )
 
 
 def _node_json(n: DiagramNode) -> str:
     factors = [
-        _container("{", [
-            _BLOCK + int.__repr__(bl.block),
-            _FACTOR + _kind_json(bl.factor, 5),
-            _CP_VERTICES + _ids_json(bl.cp_vertices, 5),
-            _LIE_VERTICES + _ids_json(bl.lie_vertices, 5),
-        ], "}", 4)
+        _FACTOR % (int.__repr__(bl.block), _kind_json(bl.factor),
+                   _ids_json(bl.cp_vertices, 5), _ids_json(bl.lie_vertices, 5))
         for bl in n.blocks
     ]
-    return _container("{", [
-        _NAME + encode_basestring_ascii(n.name),
-        _SIMPLEX + _ids_json(n.simplex, 3),
-        _FACTORS + _container("[", factors, "]", 3),
-    ], "}", 2)
-
-
-def _block_map_json(bm: BlockMap) -> str:
-    lie = "null" if bm.lie is None else _kind_json(bm.lie, 5)
-    cp = "null" if bm.cp is None else _container("{", [
-        _SOURCE + _ids_json(bm.cp.source, 6),
-        _TARGET + _ids_json(bm.cp.target, 6),
-    ], "}", 5)
-    return _container(
-        "{", [_BLOCK + int.__repr__(bm.block), _LIE + lie, _CP + cp], "}", 4
-    )
+    return _NODE % (encode_basestring_ascii(n.name), _ids_json(n.simplex, 3),
+                    _container("[", factors, "]", 3))
 
 
 def _edge_json(e: DiagramEdge) -> str:
+    maps = [
+        _MAP % (
+            int.__repr__(bm.block),
+            "null" if bm.lie is None else _kind_json(bm.lie),
+            "null" if bm.cp is None else
+            _CP % (_ids_json(bm.cp.source, 6), _ids_json(bm.cp.target, 6)),
+        )
+        for bm in e.maps
+    ]
     # through a dict, as json.dumps saw it: a repeated vertex keeps its
     # first position and its last image
     generators = [
@@ -408,43 +405,28 @@ def _edge_json(e: DiagramEdge) -> str:
         + ("null" if img is None else encode_basestring_ascii(img))
         for v, img in dict(e.generator_map).items()
     ]
-    return _container("{", [
-        _FROM + encode_basestring_ascii(e.source),
-        _TO + encode_basestring_ascii(e.target),
-        _SOURCE + _ids_json(e.source_simplex, 3),
-        _TARGET + _ids_json(e.target_simplex, 3),
-        _MAPS + _container("[", [_block_map_json(bm) for bm in e.maps], "]", 3),
-        _GENERATOR_MAP + _container("{", generators, "}", 3),
-    ], "}", 2)
+    return _EDGE % (
+        encode_basestring_ascii(e.source), encode_basestring_ascii(e.target),
+        _ids_json(e.source_simplex, 3), _ids_json(e.target_simplex, 3),
+        _container("[", maps, "]", 3), _container("{", generators, "}", 3),
+    )
 
 
 def emit_json(d: ColimitDiagram) -> str:
     """The diagram as JSON text: byte for byte what json.dumps(obj,
-    indent=2) + "\n" writes for the object
-
-        {"partition": [[id, ...], ...],
-         "nodes": [{"name", "simplex": [id, ...],
-                    "factors": [{"block", "factor", "cp_vertices",
-                                 "lie_vertices"}, ...]}, ...],
-         "edges": [{"from", "to", "source", "target",
-                    "maps": [{"block", "lie", "cp": {"source", "target"}
-                              or null}, ...],
-                    "generator_map": {id: id or null, ...}}, ...]}
-
-    where a factor, and a lie map unless null, is {"kind": <its
-    FACTOR_KINDS or MAP_KINDS name>, then its fields}.  That is: every id and key escaped to
+    indent=2) + "\n" writes for the object the record templates lay out,
+    a factor or non-null lie map being {"kind": <its FACTOR_KINDS or
+    MAP_KINDS name>, then its fields}.  That is: every id and key escaped to
     ASCII by json's own encode_basestring_ascii, ": " after a key, a comma
     and a newline between items, a two-space indent per level, and "[]" or
-    "{}" for an empty list or object.  The text is put together here, not
-    by json.dumps, whose indented encoder is pure Python.
+    "{}" for an empty list or object.  Each record is one template filled
+    by %, not json.dumps, whose indented encoder is pure Python.
     diagram_from_json reads it back."""
-    return _container("{", [
-        _PARTITION + _container(
-            "[", [_ids_json(b, 2) for b in d.partition], "]", 1
-        ),
-        _NODES + _container("[", [_node_json(n) for n in d.nodes], "]", 1),
-        _EDGES + _container("[", [_edge_json(e) for e in d.edges], "]", 1),
-    ], "}", 0) + "\n"
+    return _FILE % (
+        _container("[", [_ids_json(b, 2) for b in d.partition], "]", 1),
+        _container("[", [_node_json(n) for n in d.nodes], "]", 1),
+        _container("[", [_edge_json(e) for e in d.edges], "]", 1),
+    )
 
 
 def _need(obj: object, key: str, ctx: str) -> object:

@@ -1,5 +1,6 @@
-"""Every top-level function and class in the package has a reader in src/:
-no public API that nothing calls."""
+"""Every top-level function, class and assigned name in the package has a
+reader in src/: no public API that nothing calls, and no constant or
+template left behind."""
 import ast
 from pathlib import Path
 
@@ -10,22 +11,39 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "srrealize"
 # item 4).
 ALLOWED_UNREAD = {"all_faces", "sr_hilbert"}
 
+# The package version, read by packaging and users, not by the package.
+ALLOWED_UNREAD_ASSIGNED = {"__version__"}
+
 
 def _trees():
     return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def test_every_top_level_definition_is_read_in_src():
-    trees = _trees()
+def _read_names(trees):
+    """Every name src/ reads: as a name, an attribute or an import."""
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def _assigned_names(target):
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned_names(elt)
+
+
+def test_every_top_level_definition_is_read_in_src():
+    trees = _trees()
+    read = _read_names(trees)
     defined = {
         (name, node.name)
         for name, tree in trees.items()
@@ -34,4 +52,26 @@ def test_every_top_level_definition_is_read_in_src():
     }
     assert len(defined) > 50
     unread = sorted(d for d in defined if d[1] not in read | ALLOWED_UNREAD)
+    assert unread == []
+
+
+def test_every_top_level_assignment_is_read_in_src():
+    trees = _trees()
+    read = _read_names(trees)
+    assigned = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            assigned.update(
+                (name, n) for t in targets for n in _assigned_names(t)
+            )
+    assert len(assigned) > 20
+    unread = sorted(
+        a for a in assigned if a[1] not in read | ALLOWED_UNREAD_ASSIGNED
+    )
     assert unread == []

@@ -466,6 +466,32 @@ class TestInputHardening:
         assert r.returncode == 2
         assert "exceeds the cap of 10000" in r.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["check"], ["construct"], ["verify"], ["verify", "--diagram"],
+        ["partition"], ["obstruct"],
+    ])
+    def test_poset_above_the_cap(self, args, tmp_path, capsys):
+        # boundary(30): a few KB of input, |P| = 2^30 - 1
+        ids = [f"v{i:02d}" for i in range(30)]
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": v, "degree": 2} for v in ids],
+            "facets": [[w for w in ids if w != v] for v in ids],
+        }))
+        if args[-1] == "--diagram":
+            diagram = tmp_path / "diagram.json"
+            diagram.write_text('{"partition": [], "nodes": [], "edges": []}')
+            args = args + [str(diagram)]
+        start = time.perf_counter()
+        code = cli_main(args + [str(path)])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: facet-intersection poset exceeds the cap of "
+            f"{complexes.MAX_POSET_ELEMENTS} elements\n"
+        )
+        assert elapsed < 1.0, elapsed
+
 
 def _vertex_ids(obj):
     return sorted({v for block in obj["partition"] for v in block}) + ["nope"]

@@ -10,6 +10,7 @@ from hypothesis import given
 
 from srrealize import complex_from_json, make_complex
 from srrealize.complexes import (
+    MAX_POSET_ELEMENTS,
     ComplexError,
     ComplexWithDegrees,
     all_faces,
@@ -82,6 +83,54 @@ def test_duplicate_facet_rejected():
         "facet ['a'] is contained in facet ['a']"
     )):
         make_complex({"a": 4}, [{"a"}, {"a"}])
+
+
+@pytest.mark.parametrize("facets, message", [
+    ([{"c"}, {"a", "b"}, {"a", "b", "c"}, {"a", "b", "c", "d"}],
+     "facet ['c'] is contained in facet ['a', 'b', 'c']"),
+    ([{"a", "b", "c", "d"}, {"b", "c"}, {"a", "b", "c"}, {"b"}],
+     "facet ['b', 'c'] is contained in facet ['a', 'b', 'c', 'd']"),
+    ([{"x", "y"}, {"a", "b", "c"}, {"a", "c"}, {"a", "b"}],
+     "facet ['a', 'c'] is contained in facet ['a', 'b', 'c']"),
+], ids=["lowest_holder_after", "lowest_holder_before", "least_contained"])
+def test_containment_precedence(facets, message):
+    # two or more containments, and an orphan vertex z: the message names
+    # the first contained facet and the first facet holding it, as a scan
+    # of every ordered pair of facets does (recorded from that scan)
+    degrees = {v: 2 for f in facets for v in f} | {"z": 2}
+    with pytest.raises(ComplexError, match="^" + re.escape(message) + "$"):
+        make_complex(degrees, facets)
+
+
+def test_4000_disjoint_edges_validate_in_under_0_2_s():
+    # comparing every pair of facets took about 1 s on a shared 2-vCPU host
+    ids = [f"v{i}" for i in range(8000)]
+    text = json.dumps({
+        "vertices": [{"id": v, "degree": 2} for v in ids],
+        "facets": [ids[i:i + 2] for i in range(0, 8000, 2)],
+    })
+    start = time.perf_counter()
+    c = complex_from_json(text)
+    assert time.perf_counter() - start < 0.2
+    assert len(c.facets) == 4000
+
+
+def boundary(n):
+    """n degree-2 vertices and the n facets that each omit one: |P| = 2^n - 1."""
+    ids = [f"v{i:02d}" for i in range(n)]
+    return make_complex({v: 2 for v in ids}, [set(ids) - {v} for v in ids])
+
+
+def test_poset_cap():
+    # above the largest poset the tests build (|P| = 4584, the torus)
+    assert len(pmax(boundary(14)).elements) == 2**14 - 1 <= MAX_POSET_ELEMENTS
+    for n in (15, 30):
+        start = time.perf_counter()
+        with pytest.raises(ComplexError, match=re.escape(
+            f"facet-intersection poset exceeds the cap of {MAX_POSET_ELEMENTS}"
+        )):
+            pmax(boundary(n))
+        assert time.perf_counter() - start < 1.0
 
 
 def test_orphan_vertex_rejected():

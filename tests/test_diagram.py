@@ -509,6 +509,77 @@ class TestJsonBytes:
         assert diagram_from_json(text) == d
 
 
+# Ids that read as format directives, beside the escapes json applies: a
+# template filled with % must write each of them as it stands.
+HOSTILE_IDS = ("p%", "q%s", "r%%", 's"', "t\\", "u_", "v\u00e9")
+
+
+def _hostile_built():
+    p, q, r, s, t, u, v = HOSTILE_IDS
+    c = make_complex(dict(zip(HOSTILE_IDS, (4, 6, 2, 2, 4, 8, 2))),
+                     [{p, q, r}, {p, u, s}, {t, v}])
+    return build_diagram(c, full_report(c).partition)
+
+
+def _hostile_every_kind():
+    # every factor kind, and every map kind: iota1 with and without iota3,
+    # iota2 of power 0 and above, from_point and a null lie
+    p, q, r, s, t, u, v = HOSTILE_IDS
+    factors = [BSp(2), BSU(3), CPInfPower(2), Point()]
+    maps = [Iota1Power(2, True), Iota1Power(1, False), Iota2Power(0),
+            Iota2Power(3), FromPoint(), None]
+    node = DiagramNode(node_name(HOSTILE_IDS), HOSTILE_IDS, tuple(
+        BlockLabel(i, f, (r, s) if i % 2 else (), (p, q))
+        for i, f in enumerate(factors)
+    ))
+    edge = DiagramEdge(node.name, "sigma_%s", (t, u), HOSTILE_IDS, tuple(
+        BlockMap(i, m, CPInclusion((t,), (t, v)) if i % 2 else None)
+        for i, m in enumerate(maps)
+    ), tuple((x, x if x in (t, u) else None) for x in HOSTILE_IDS))
+    return ColimitDiagram(((p, q, r), (s, t), (u, v)), (node,), (edge,))
+
+
+def _empty_complex_diagram():
+    c = make_complex({}, [])
+    return build_diagram(c, full_report(c).partition)
+
+
+class TestHostileIds:
+    """Format directives, quotes, backslashes and non-ASCII letters in ids
+    pass through the record templates as data, for every kind."""
+
+    @pytest.mark.parametrize("make", [
+        _hostile_built, _hostile_every_kind, _empty_complex_diagram,
+    ], ids=["built", "every_kind", "empty_complex"])
+    def test_matches_the_reference_and_round_trips(self, make):
+        d = make()
+        text = emit_json(d)
+        assert text == reference_emit_json(d)
+        assert diagram_from_json(text) == d
+
+    def test_directives_come_out_as_written(self):
+        text = emit_json(_hostile_every_kind())
+        for written in ('"p%"', '"q%s"', '"r%%"', '"s\\""', '"t\\\\"',
+                        '"u_"', '"v\\u00e9"', '"to": "sigma_%s"'):
+            assert written in text
+
+    def test_every_kind_is_drawn(self):
+        d = _hostile_every_kind()
+        assert {type(bl.factor) for bl in d.nodes[0].blocks} == set(
+            FACTOR_KINDS.values())
+        lies = [bm.lie for bm in d.edges[0].maps]
+        assert {type(m) for m in lies if m} == set(MAP_KINDS.values())
+        assert None in lies
+        assert {(m.power > 0, getattr(m, "after_iota3", None))
+                for m in lies if isinstance(m, (Iota1Power, Iota2Power))} == {
+            (True, True), (True, False), (False, None), (True, None)}
+
+    def test_empty_complex_is_three_empty_lists(self):
+        assert emit_json(_empty_complex_diagram()) == (
+            '{\n  "partition": [],\n  "nodes": [],\n  "edges": []\n}\n'
+        )
+
+
 @PROPERTY
 @given(complexes())
 def test_edges_are_the_triple_loop_covering_pairs(c):
