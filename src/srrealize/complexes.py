@@ -59,12 +59,6 @@ class ComplexWithDegrees:
         """The poset's covering pairs, computed once per complex."""
         return self.poset.covers()
 
-    def degree(self, vertex: str) -> int:
-        try:
-            return self.degree_map[vertex]
-        except KeyError:
-            raise ComplexError(f"unknown vertex {vertex!r}") from None
-
     def validate(self) -> None:
         for v, d in self.degree_map.items():
             if d <= 0 or d % 2 != 0:
@@ -95,18 +89,14 @@ class ComplexWithDegrees:
             if v not in vertex_facets:
                 raise ComplexError(f"vertex {v!r} appears in no facet")
 
-    def is_face(self, s: Iterable[str]) -> bool:
+    def degree_multiset(self, s: Iterable[str]) -> DegreeMultiset:
+        """The sorted degrees of s, which must be a face: the empty
+        simplex, or ids of declared vertices that lie in one facet."""
         s = frozenset(s)
         for x in s:
             if x not in self.degree_map:
                 raise ComplexError(f"unknown vertex {x!r}")
-        if not s:
-            return True
-        return any(s <= f for f in self.facets)
-
-    def degree_multiset(self, s: Iterable[str]) -> DegreeMultiset:
-        s = frozenset(s)
-        if not self.is_face(s):
+        if s and not any(s <= f for f in self.facets):
             raise ComplexError(f"{sorted(s)} is not a face")
         return tuple(sorted(self.degree_map[x] for x in s))
 

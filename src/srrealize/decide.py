@@ -86,8 +86,8 @@ def _shared_pair(c: ComplexWithDegrees, degrees: set[int]) -> tuple[str, str] | 
     for f in c.facets:
         groups: dict[int, list[str]] = {}
         for v in sorted(f):
-            if c.degree(v) in degrees:
-                groups.setdefault(c.degree(v), []).append(v)
+            if c.degree_map[v] in degrees:
+                groups.setdefault(c.degree_map[v], []).append(v)
         pairs += [(g[0], g[1]) for g in groups.values() if len(g) > 1]
     return min(pairs, default=None)
 
@@ -97,7 +97,7 @@ def check_main_hypothesis(c: ComplexWithDegrees) -> HypothesisViolated | None:
     span a face, with that degree, or None when the main hypothesis holds."""
     powers = {d for d in c.degree_map.values() if d >= 4 and d & (d - 1) == 0}
     pair = _shared_pair(c, powers)
-    return None if pair is None else HypothesisViolated(pair, c.degree(pair[0]))
+    return None if pair is None else HypothesisViolated(pair, c.degree_map[pair[0]])
 
 
 def decide_main(c: ComplexWithDegrees) -> Verdict:
@@ -207,8 +207,8 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     exactly when no partition exists.  The search stays exponential in the
     worst case.
     """
-    ids2 = tuple(v for v in c.sorted_ids if c.degree(v) == 2)
-    ids4 = tuple(v for v in c.sorted_ids if c.degree(v) >= 4)
+    ids2 = tuple(v for v in c.sorted_ids if c.degree_map[v] == 2)
+    ids4 = tuple(v for v in c.sorted_ids if c.degree_map[v] >= 4)
     elements = c.poset.elements
 
     # unplaced vertices of each degree, per element
@@ -225,13 +225,13 @@ def find_partition(c: ComplexWithDegrees) -> Partition | None:
     nblocks = 1 if ids2 else 0
 
     def duplicate_degree(v: str, b: int) -> bool:
-        d = c.degree(v)
+        d = c.degree_map[v]
         return any(d in held[s].get(b, ()) for s in holding[v])
 
     def move(v: str, b: int, placing: bool) -> None:
         """Place v in block b, or take it back out, in the state of every
         element holding v."""
-        d = c.degree(v)
+        d = c.degree_map[v]
         for s in holding[v]:
             degs, lack = held[s].setdefault(b, set()), lacking[s]
             for e in _chain_gaps(degs):

@@ -167,13 +167,12 @@ def label_node(
     c: ComplexWithDegrees, s: Simplex, partition: Partition
 ) -> SpaceLabel:
     out: list[BlockLabel] = []
+    deg = c.degree_map
     for bi, block in enumerate(partition):
         inter = [v for v in block if v in s]
-        cp = tuple(v for v in inter if c.degree(v) == 2)
-        lie = tuple(
-            sorted((v for v in inter if c.degree(v) >= 4), key=c.degree)
-        )
-        cls = classify(tuple(sorted(c.degree(v) for v in inter)))
+        cp = tuple(v for v in inter if deg[v] == 2)
+        lie = tuple(sorted((v for v in inter if deg[v] >= 4), key=deg.get))
+        cls = classify(tuple(sorted(deg[v] for v in inter)))
         if isinstance(cls, Torus):
             factor: FactorLabel = CPInfPower(cls.k2) if cls.k2 else Point()
         elif isinstance(cls, SpType):

@@ -20,6 +20,10 @@ poset P is the smallest such family; P plus the empty face is another, and
 for a complex without facets it is {empty face}, the point.  One loop,
 moebius_weights, weighs every family, and skips elements of weight 0.
 
+Faces are vertex bitmasks (bitmasks): bit i stands for c.sorted_ids[i], so
+a set bit b is decoded as the vertex c.sorted_ids[b.bit_length() - 1] and
+its degree read from c.degree_map.
+
 All counts are exact Python integers; only even degrees carry anything, so a
 Hilbert function up to an even degree D is a tuple h of D/2 + 1 entries,
 h[d // 2] the dimension in degree d, and degrees are counted in units of 2:
@@ -115,13 +119,13 @@ def add_free_hilbert(
     multiset."""
     # degree multisets are read from the set bits of each element (lowest
     # first), not from every vertex
-    bit_degree = {1 << i: c.degree(v) for i, v in enumerate(c.sorted_ids)}
+    ids, degree = c.sorted_ids, c.degree_map
     per_multiset: dict[DegreeMultiset, int] = {}
     for s, w in weight.items():
         degrees, rest = [], s
         while rest:
             low = rest & -rest
-            degrees.append(bit_degree[low])
+            degrees.append(degree[ids[low.bit_length() - 1]])
             rest ^= low
         ms = tuple(sorted(degrees))
         per_multiset[ms] = per_multiset.get(ms, 0) + w

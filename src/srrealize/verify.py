@@ -231,7 +231,7 @@ def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> Verifica
                 change[r] = delta
         weight.update(new)
         cur_h = add_free_hilbert(c, prev_h, change)
-        free_h = free_hilbert(c.degree_multiset(facet), truncation)
+        free_h = free_hilbert(tuple(c.degree_map[v] for v in facet), truncation)
         inter_h = mobius_hilbert(c, meet, truncation)
         rows = [
             DegreeRow(2 * i, *dims)
@@ -259,8 +259,8 @@ def _binding_issues(
     issues = []
     for i, (bl, block) in enumerate(zip(node.blocks, blocks)):
         meet = [v for v in block if v in simplex]
-        cp = sorted(v for v in meet if c.degree(v) == 2)
-        rest = sorted(v for v in meet if c.degree(v) != 2)
+        cp = sorted(v for v in meet if c.degree_map[v] == 2)
+        rest = sorted(v for v in meet if c.degree_map[v] != 2)
         f, gens = bl.factor, lie_degrees(bl.factor)
         if (
             bl.block != i
@@ -268,7 +268,7 @@ def _binding_issues(
             or isinstance(f, Point) and cp
             or isinstance(f, CPInfPower) and not 0 < f.k == len(cp)
             or sorted(bl.lie_vertices) != rest
-            or list(gens[:len(rest) + 1]) != [c.degree(v) for v in bl.lie_vertices]
+            or list(gens[:len(rest) + 1]) != [c.degree_map[v] for v in bl.lie_vertices]
         ):
             issues.append(f"node {node.name} factor {i} does not bind the "
                           f"generators of partition block {i}")

@@ -124,16 +124,17 @@ def naive_sr_count(c: ComplexWithDegrees, d: int) -> int:
     """Basis monomials of the Stanley-Reisner ring in degree d, counted by
     enumerating exponent vectors vertex by vertex and keeping those whose
     support is a face.  Independent of the per-face dynamic programming in
-    the package."""
+    the package, and of its face test."""
     ids = list(c.sorted_ids)
 
     def walk(idx: int, remaining: int, support: frozenset[str]) -> int:
         if idx == len(ids):
             if remaining != 0:
                 return 0
-            return 1 if c.is_face(support) else 0
+            face = not support or any(support <= f for f in c.facets)
+            return 1 if face else 0
         v = ids[idx]
-        step = c.degree(v)
+        step = c.degree_map[v]
         total = walk(idx + 1, remaining, support)
         used = step
         while used <= remaining:
@@ -150,7 +151,7 @@ def face_sum_hilbert(c: ComplexWithDegrees, truncation: int) -> Hilbert:
     least 1).  Lists every face, so it is exponential in the facet size."""
     dims = {d: 0 for d in range(0, truncation + 1, 2)}
     for face in all_faces(c):
-        degs = [c.degree(v) for v in face]
+        degs = [c.degree_map[v] for v in face]
         base = sum(degs)
         if base > truncation:
             continue
@@ -169,8 +170,8 @@ def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> Hilbert:
     pruning branches whose support already fails to be a face.  It shares
     no counting code with sr_hilbert and exists to cross-check it."""
     check_truncation(truncation)
-    ids = sorted(c.sorted_ids, key=lambda v: -c.degree(v))
-    degs = [c.degree(v) for v in ids]
+    ids = sorted(c.sorted_ids, key=lambda v: -c.degree_map[v])
+    degs = [c.degree_map[v] for v in ids]
     facets = c.facets
     dims = {d: 0 for d in range(0, truncation + 1, 2)}
 
@@ -214,9 +215,9 @@ def pairwise_main_hypothesis(c: ComplexWithDegrees) -> HypothesisViolated | None
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
             x, y = ids[a], ids[b]
-            d = c.degree(x)
-            if d == c.degree(y) and d >= 4 and d & (d - 1) == 0:
-                if c.is_face({x, y}):
+            d = c.degree_map[x]
+            if d == c.degree_map[y] and d >= 4 and d & (d - 1) == 0:
+                if any({x, y} <= f for f in c.facets):
                     return HypothesisViolated((x, y), d)
     return None
 
@@ -293,7 +294,7 @@ def _subcomplex_on_facets(
 ) -> ComplexWithDegrees:
     used = set().union(*facets) if facets else set()
     return ComplexWithDegrees(
-        {v: parent.degree(v) for v in sorted(used)}, facets
+        {v: parent.degree_map[v] for v in sorted(used)}, facets
     )
 
 
@@ -309,7 +310,7 @@ def intersection_complex(
 ) -> ComplexWithDegrees:
     """The complex whose faces are common to both inputs."""
     for v in set(c1.degree_map) & set(c2.degree_map):
-        if c1.degree(v) != c2.degree(v):
+        if c1.degree_map[v] != c2.degree_map[v]:
             raise ValueError(f"vertex {v!r} has conflicting degrees")
     candidates = {f1 & f2 for f1 in c1.facets for f2 in c2.facets}
     return _subcomplex_on_facets(c1, _maximalize(candidates))
@@ -599,13 +600,13 @@ def unpruned_find_partition(c: ComplexWithDegrees) -> Partition | None:
     backtracking search, pruned only by repeated degrees and by elements
     that classify badly once fully assigned.  The rules must not change
     which partition it returns."""
-    ids2 = tuple(v for v in c.sorted_ids if c.degree(v) == 2)
-    ids4 = tuple(v for v in c.sorted_ids if c.degree(v) >= 4)
+    ids2 = tuple(v for v in c.sorted_ids if c.degree_map[v] == 2)
+    ids4 = tuple(v for v in c.sorted_ids if c.degree_map[v] >= 4)
     elements = c.poset.elements
 
     idx_of = {v: k for k, v in enumerate(ids4)}
-    twos_in = {s: sum(1 for v in s if c.degree(v) == 2) for s in elements}
-    high_in = {s: tuple(v for v in sorted(s) if c.degree(v) >= 4) for s in elements}
+    twos_in = {s: sum(1 for v in s if c.degree_map[v] == 2) for s in elements}
+    high_in = {s: tuple(v for v in sorted(s) if c.degree_map[v] >= 4) for s in elements}
     complete_at: dict[int, list[Simplex]] = {}
     for s in elements:
         if high_in[s]:
@@ -616,7 +617,7 @@ def unpruned_find_partition(c: ComplexWithDegrees) -> Partition | None:
     nblocks = base_blocks
 
     def block_multiset(s: Simplex, b: int) -> tuple[int, ...]:
-        degs = [c.degree(v) for v in high_in[s] if assign.get(v) == b]
+        degs = [c.degree_map[v] for v in high_in[s] if assign.get(v) == b]
         if b == 0:
             degs.extend([2] * twos_in[s])
         return tuple(sorted(degs))
@@ -628,10 +629,10 @@ def unpruned_find_partition(c: ComplexWithDegrees) -> Partition | None:
         )
 
     def duplicate_degree(v: str, b: int) -> bool:
-        dv = c.degree(v)
+        dv = c.degree_map[v]
         for s in elements:
             if v in s and any(
-                w != v and assign.get(w) == b and c.degree(w) == dv
+                w != v and assign.get(w) == b and c.degree_map[w] == dv
                 for w in high_in[s]
             ):
                 return True
@@ -684,12 +685,12 @@ def brute_partition_exists(c: ComplexWithDegrees) -> bool:
     facet intersection in a constructible multiset in every block, found by
     listing all set partitions.  Degree-2 vertices never change a class, so
     they are left out; poset elements come from brute_pmax."""
-    high = [v for v in c.sorted_ids if c.degree(v) >= 4]
+    high = [v for v in c.sorted_ids if c.degree_map[v] >= 4]
     elements = brute_pmax(c)
     return any(
         all(
             isinstance(
-                classify([c.degree(v) for v in block if v in s]),
+                classify([c.degree_map[v] for v in block if v in s]),
                 (Torus, SUType, SpType),
             )
             for s in elements

@@ -75,3 +75,11 @@ def test_every_top_level_assignment_is_read_in_src():
         a for a in assigned if a[1] not in read | ALLOWED_UNREAD_ASSIGNED
     )
     assert unread == []
+
+
+def test_verify_reads_none_of_the_construction():
+    # verify checks a diagram against facts it spells out itself, so a fault
+    # in the code that builds the diagram cannot vouch for itself
+    read = _read_names({"verify.py": _trees()["verify.py"]})
+    builders = {"label_node", "build_diagram", "classify", "find_partition"}
+    assert read & builders == set()

@@ -349,6 +349,22 @@ class TestVerify:
         assert r.returncode == 0
 
 
+# each _diagram_mutation case and the exact error it exits 2 with
+_WRONG_TYPE_ERRORS = {
+    "string_partition": "diagram file 'partition' must be a JSON list",
+    "bool_block": "diagram node factor 'block' must be a JSON int",
+    "float_block": "diagram node factor 'block' must be a JSON int",
+    "string_rank": "diagram factor 'n' must be a JSON int",
+    "int_after_iota3": "diagram map 'after_iota3' must be a JSON bool",
+    "int_vertex_id": "diagram node 'simplex' must be a list of vertex ids",
+    "node_not_object": "diagram node must be an object",
+    "list_generator_map":
+        "diagram generator_map must map vertex ids to ids or null",
+    "int_generator_image":
+        "diagram generator_map must map vertex ids to ids or null",
+}
+
+
 def _diagram_mutation(obj, case):
     node = next(n for n in obj["nodes"] if n["name"] == "sigma_x4_x6")
     iota1 = next(
@@ -369,6 +385,10 @@ def _diagram_mutation(obj, case):
         node["simplex"] = [4, 6]
     elif case == "node_not_object":
         obj["nodes"][0] = 5
+    elif case == "list_generator_map":
+        obj["edges"][0]["generator_map"] = ["x4"]
+    elif case == "int_generator_image":
+        obj["edges"][0]["generator_map"]["x4"] = 4
     return obj
 
 
@@ -391,17 +411,13 @@ class TestInputHardening:
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("case", [
-        "string_partition", "bool_block", "float_block", "string_rank",
-        "int_after_iota3", "int_vertex_id", "node_not_object",
-    ])
+    @pytest.mark.parametrize("case", list(_WRONG_TYPE_ERRORS))
     def test_diagram_field_of_wrong_type(self, case, tmp_path):
         obj = _diagram_mutation(json.loads(run(["construct"], RING_468).stdout), case)
         path = tmp_path / "mutated.json"
         path.write_text(json.dumps(obj))
         r = run(["verify", "--diagram", str(path)], RING_468)
-        assert r.returncode == 2, (case, r.stdout, r.stderr)
-        assert r.stderr.startswith("error: diagram")
+        assert (r.returncode, r.stderr) == (2, f"error: {_WRONG_TYPE_ERRORS[case]}\n")
 
     @pytest.mark.parametrize("where, value, stderr", [
         ("factor", {"kind": "iota2", "power": 1}, "unknown factor kind 'iota2'"),

@@ -54,8 +54,14 @@ def test_duplicate_vertex_rejected():
      "duplicate vertex id 'a'"),
     ([{"id": v, "degree": 4} for v in "abba"], [["a", "b"]],
      "duplicate vertex id 'b'"),
+    ({"a": 4}, "a", '"vertices" must be a list'),
+    ([{"id": "a", "degree": 4}, 5], "a", "vertex entry 5 must be an object"),
+    ([{"id": "a", "degree": 4}, {"id": "a", "degree": 4}], {"a": ["a"]},
+     '"facets" must be a list of lists'),
 ], ids=["parse_error_first", "facet_error_first", "duplicate_before_degree",
-        "duplicate_before_facet_check", "first_repeat_named"])
+        "duplicate_before_facet_check", "first_repeat_named",
+        "vertices_not_a_list", "vertex_entry_not_an_object",
+        "facets_not_a_list_before_duplicate"])
 def test_error_precedence(vertices, facets, message):
     # parse errors, then a duplicate id, then validate's checks
     text = json.dumps({"vertices": vertices, "facets": facets})
@@ -158,31 +164,25 @@ def test_empty_facet_rejected():
         make_complex({"a": 4}, [{"a"}, set()])
 
 
-def test_is_face():
-    c = ring_468()
-    assert c.is_face({"x4", "x6"})
-    assert c.is_face({"x4"})
-    assert c.is_face(set())
-    assert not c.is_face({"x6", "x8"})
-    with pytest.raises(ComplexError, match=re.escape("unknown vertex 'zz'")):
-        c.is_face({"zz"})
-
-
 def test_faces_are_downward_closed():
     rng = random.Random(7)
     for _ in range(30):
         c = random_complex(rng)
         for face in all_faces(c):
             for v in face:
-                assert c.is_face(face - {v})
+                assert len(c.degree_multiset(face - {v})) == len(face) - 1
 
 
 def test_degree_multiset():
+    # the one face test: a face gives its degrees, anything else raises
     c = ring_468()
     assert c.degree_multiset({"x4", "x6"}) == (4, 6)
+    assert c.degree_multiset({"x4"}) == (4,)
     assert c.degree_multiset(set()) == ()
-    with pytest.raises(ComplexError, match="is not a face"):
+    with pytest.raises(ComplexError, match=re.escape("['x6', 'x8'] is not a face")):
         c.degree_multiset({"x6", "x8"})
+    with pytest.raises(ComplexError, match=re.escape("unknown vertex 'zz'")):
+        c.degree_multiset({"zz"})
 
 
 def test_pmax_two_facet_example():
@@ -291,7 +291,7 @@ def test_complex_from_json_roundtrip():
      "facets": [["x4"], ["x6"]]}
     """
     c = complex_from_json(text)
-    assert c.degree("x4") == 4
+    assert c.degree_map["x4"] == 4
     assert [sorted(f) for f in c.facets] == [["x4"], ["x6"]]
 
 

@@ -171,7 +171,7 @@ class TestFindPartition:
             assert all(block for block in part)
             for s in pmax(c).elements:
                 for block in part:
-                    ms = tuple(sorted(c.degree(v) for v in block if v in s))
+                    ms = tuple(sorted(c.degree_map[v] for v in block if v in s))
                     assert isinstance(classify(ms), (Torus, SUType, SpType)), (c, part, s)
         assert checked >= 20  # the generator must exercise the success path
 
@@ -362,7 +362,7 @@ class TestFullReport:
             c = random_complex(rng)
             f = lambda x: "r_" + x  # order-preserving on the "v<i>" ids
             renamed = make_complex(
-                {f(v): c.degree(v) for v in c.sorted_ids},
+                {f(v): c.degree_map[v] for v in c.sorted_ids},
                 [{f(v) for v in facet} for facet in c.facets],
             )
             assert full_report(renamed) == rename_verdict(full_report(c), f)

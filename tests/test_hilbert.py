@@ -122,5 +122,5 @@ class TestRestrictToSimplex:
     def test_restriction_carries_the_free_ring(self):
         c = ring_468()
         s = frozenset({"x4", "x6"})
-        sub = make_complex({v: c.degree(v) for v in s}, [s])
+        sub = make_complex({v: c.degree_map[v] for v in s}, [s])
         assert sr_hilbert(sub, 20) == free_hilbert(c.degree_multiset(s), 20)

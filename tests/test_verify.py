@@ -54,7 +54,7 @@ class TestIntersectionComplex:
         k2 = simplex_complex((4, 8), ("x4", "x8"))
         inter = intersection_complex(k1, k2)
         assert inter.facets == (frozenset({"x4"}),)
-        assert inter.degree("x4") == 4
+        assert inter.degree_map["x4"] == 4
 
     def test_disjoint_simplices_meet_in_the_empty_complex(self):
         k1 = simplex_complex((4,), ("a",))
@@ -146,6 +146,18 @@ class TestPushoutRecurrence:
         assert time.perf_counter() - start < 4.0
         assert report.passed
 
+    def test_sparse_verify_wall_time(self):
+        # 1000 disjoint degree-2 edges, |P| = 1001; decoding vertex bits
+        # through a {bit: degree} map rebuilt per Moebius sum took about
+        # 3-4 s on a shared 2-vCPU host
+        c = make_complex({f"v{i}": 2 for i in range(2000)},
+                         [{f"v{2 * i}", f"v{2 * i + 1}"} for i in range(1000)])
+        d = diagram_for(c)
+        start = time.perf_counter()
+        report = verify_construction(c, d, 12)
+        assert time.perf_counter() - start < 2.0
+        assert report.passed
+
     @PROPERTY
     @given(complexes())
     def test_last_union_column_is_the_brute_oracle(self, c):
@@ -221,7 +233,7 @@ class TestVerifyConstruction:
         # shares nothing with the search's chain state
         part = find_partition(c)
         if part is not None:
-            top = max((c.degree(v) for v in c.sorted_ids), default=2)
+            top = max((c.degree_map[v] for v in c.sorted_ids), default=2)
             assert verify_construction(c, build_diagram(c, part), 6 * top).passed
 
     def test_passes_on_the_worked_example(self):
@@ -259,6 +271,18 @@ class TestVerifyConstruction:
         assert bad.first_bad_degree == 12
         assert (bad.expected, bad.got) == (2, 3)
         assert "sigma_x4_x8" in report.first_discrepancy
+
+    def test_node_hilbert_check_stands_alone(self, monkeypatch):
+        # _binding_issues flags a wrong rank first; without it the node's
+        # own Hilbert check must still fail the report
+        monkeypatch.setattr(verify, "_binding_issues", lambda *args: [])
+        c = ring_468()
+        mutated = mutate_node(diagram_for(c), 2, BSp(3))  # sigma_x4_x8
+        report = verify_construction(c, mutated, 40)
+        assert report.structure_issues == []
+        assert report.first_discrepancy == (
+            "node sigma_x4_x8: label dimension 3 != 2 at degree 12"
+        )
 
     def test_node_mutation_breaks_edge_maps_too(self):
         c = ring_468()
