@@ -164,6 +164,18 @@ def test_empty_facet_rejected():
         make_complex({"a": 4}, [{"a"}, set()])
 
 
+def test_is_face():
+    # degree_multiset is the one face test: a face passes, anything else raises
+    c = ring_468()
+    c.degree_multiset({"x4", "x6"})
+    c.degree_multiset({"x4"})
+    c.degree_multiset(set())
+    with pytest.raises(ComplexError, match=re.escape("['x6', 'x8'] is not a face")):
+        c.degree_multiset({"x6", "x8"})
+    with pytest.raises(ComplexError, match=re.escape("unknown vertex 'zz'")):
+        c.degree_multiset({"zz"})
+
+
 def test_faces_are_downward_closed():
     rng = random.Random(7)
     for _ in range(30):
@@ -174,15 +186,10 @@ def test_faces_are_downward_closed():
 
 
 def test_degree_multiset():
-    # the one face test: a face gives its degrees, anything else raises
     c = ring_468()
     assert c.degree_multiset({"x4", "x6"}) == (4, 6)
     assert c.degree_multiset({"x4"}) == (4,)
     assert c.degree_multiset(set()) == ()
-    with pytest.raises(ComplexError, match=re.escape("['x6', 'x8'] is not a face")):
-        c.degree_multiset({"x6", "x8"})
-    with pytest.raises(ComplexError, match=re.escape("unknown vertex 'zz'")):
-        c.degree_multiset({"zz"})
 
 
 def test_pmax_two_facet_example():
