@@ -27,10 +27,6 @@ class ComplexError(ValueError):
     """Invalid complex data; the message names the offending item."""
 
 
-class MalformedInput(ComplexError):
-    pass
-
-
 def simplex_key(s: Iterable[str]) -> tuple[str, ...]:
     """Canonical ordering key for simplices: the sorted id tuple."""
     return tuple(sorted(s))
@@ -50,6 +46,15 @@ class ComplexWithDegrees:
         return tuple(sorted(self.degree_map))
 
     @cached_property
+    def vertex_facets(self) -> dict[str, int]:
+        """Each vertex's facets as a bitset, bit i for the i-th facet."""
+        out: dict[str, int] = {}
+        for i, f in enumerate(self.facets):
+            for v in f:
+                out[v] = out.get(v, 0) | 1 << i
+        return out
+
+    @cached_property
     def poset(self) -> MaxIntersectionPoset:
         """The facet-intersection poset, built once per complex."""
         return pmax(self)
@@ -60,6 +65,8 @@ class ComplexWithDegrees:
         return self.poset.covers()
 
     def validate(self) -> None:
+        """Checks degrees and facets.  Facet containment and vertices on no
+        facet are read through facets_containing."""
         for v, d in self.degree_map.items():
             if d <= 0 or d % 2 != 0:
                 raise ComplexError(
@@ -74,40 +81,38 @@ class ComplexWithDegrees:
                     raise ComplexError(
                         f"facet {sorted(f)} mentions undeclared vertex {x!r}"
                     )
-        # facet i lies in another iff its vertices share a bit other than i
-        vertex_facets = facet_bitsets(self.facets)
         for i, a in enumerate(self.facets):
-            others = ~(1 << i)
-            for v in a:
-                others &= vertex_facets[v]
+            others = facets_containing(self.vertex_facets, a) & ~(1 << i)
             if others:
                 b = self.facets[(others & -others).bit_length() - 1]
                 raise ComplexError(
                     f"facet {sorted(a)} is contained in facet {sorted(b)}"
                 )
         for v in self.degree_map:
-            if v not in vertex_facets:
+            if not facets_containing(self.vertex_facets, (v,)):
                 raise ComplexError(f"vertex {v!r} appears in no facet")
 
     def degree_multiset(self, s: Iterable[str]) -> DegreeMultiset:
         """The sorted degrees of s, which must be a face: the empty
-        simplex, or ids of declared vertices that lie in one facet."""
+        simplex, or ids of declared vertices that lie in one facet, which
+        facets_containing finds in O(|s|)."""
         s = frozenset(s)
         for x in s:
             if x not in self.degree_map:
                 raise ComplexError(f"unknown vertex {x!r}")
-        if s and not any(s <= f for f in self.facets):
+        if not facets_containing(self.vertex_facets, s):
             raise ComplexError(f"{sorted(s)} is not a face")
         return tuple(sorted(self.degree_map[x] for x in s))
 
 
-def facet_bitsets(facets: Iterable[Simplex]) -> dict[str, int]:
-    """Each vertex's facets as a bitset, bit i for the i-th facet."""
-    out: dict[str, int] = {}
-    for i, f in enumerate(facets):
-        for v in f:
-            out[v] = out.get(v, 0) | 1 << i
-    return out
+def facets_containing(vertex_facets: Mapping[str, int], s: Iterable[str]) -> int:
+    """The facets that hold all of s, as a bitset: the AND of its vertices'
+    bitsets in a complex's vertex_facets.  It is 0 when s is no face, and
+    -1, every bit, for the empty simplex, which every facet holds."""
+    key = -1
+    for v in s:
+        key &= vertex_facets.get(v, 0)
+    return key
 
 
 def make_complex(
@@ -137,14 +142,15 @@ class MaxIntersectionPoset:
     """All intersections of nonempty sets of facets, ordered by inclusion.
 
     Elements are stored in canonical order (lexicographic on sorted id
-    lists).  The maximal elements are the facets themselves, also kept in
-    the complex's facet order; the poset is closed under pairwise
-    intersection.  keys and multisets run parallel to elements: each
-    element's sorted ids and sorted degrees, computed once for every stage.
+    lists).  The maximal elements are the facets themselves; the poset is
+    closed under pairwise intersection.  keys and multisets run parallel to
+    elements: each element's sorted ids and sorted degrees, computed once
+    for every stage.  vertex_facets is the complex's own facet index; no
+    reference back to the complex, so a complex is freed without the GC.
     """
 
     elements: tuple[Simplex, ...]
-    facets: tuple[Simplex, ...]
+    vertex_facets: Mapping[str, int]
     keys: tuple[tuple[str, ...], ...]
     multisets: tuple[DegreeMultiset, ...]
 
@@ -162,20 +168,13 @@ class MaxIntersectionPoset:
         an element r with s < r < t would hold some v in r - s, and
         cl(s | {v}) <= r would differ from t.  The covers of s are therefore
         read off at most one closure per vertex outside s.  A closure is
-        named by its set of facets, the AND of its vertices' facet bitsets,
-        and s | {v} has none when that set is empty."""
+        named by its set of facets, facets_containing of its vertices, and
+        s | {v} has none when that set is empty."""
         if len(self.elements) < 2:
             return ()  # no pair, and no per-vertex set-up for one facet
-        vertex_facets = facet_bitsets(self.facets)
-        every_facet = (1 << len(self.facets)) - 1
-        keys = []
-        for s in self.elements:
-            key = every_facet
-            for v in s:
-                key &= vertex_facets[v]
-            keys.append(key)
+        keys = [facets_containing(self.vertex_facets, s) for s in self.elements]
         index = {key: i for i, key in enumerate(keys)}
-        bitsets = tuple(vertex_facets.values())
+        bitsets = tuple(self.vertex_facets.values())
         out = []
         for s, key in zip(self.elements, keys):
             # hits[i]: the vertices v outside s with cl(s | {v}) element i.
@@ -207,7 +206,7 @@ def pmax(c: ComplexWithDegrees) -> MaxIntersectionPoset:
                                f"of {MAX_POSET_ELEMENTS} elements")
     keys = tuple(sorted(map(simplex_key, els)))
     return MaxIntersectionPoset(
-        tuple(map(frozenset, keys)), c.facets, keys,
+        tuple(map(frozenset, keys)), c.vertex_facets, keys,
         tuple(tuple(sorted(c.degree_map[v] for v in k)) for k in keys),
     )
 
@@ -224,48 +223,48 @@ def complex_from_json(text: str) -> ComplexWithDegrees:
     try:
         c = _complex_from_obj(json.loads(text))
     except json.JSONDecodeError as e:
-        raise MalformedInput(f"invalid JSON: {e}") from None
+        raise ComplexError(f"invalid JSON: {e}") from None
     except RecursionError:
-        raise MalformedInput("input JSON nests too deeply") from None
+        raise ComplexError("input JSON nests too deeply") from None
     c.validate()
     return c
 
 
 def _complex_from_obj(obj: object) -> ComplexWithDegrees:
     if not isinstance(obj, dict):
-        raise MalformedInput("top-level value must be an object")
+        raise ComplexError("top-level value must be an object")
     extra = set(obj) - {"vertices", "facets"}
     if extra:
-        raise MalformedInput(f"unknown top-level keys: {sorted(extra)}")
+        raise ComplexError(f"unknown top-level keys: {sorted(extra)}")
     if "vertices" not in obj or "facets" not in obj:
-        raise MalformedInput('both "vertices" and "facets" are required')
+        raise ComplexError('both "vertices" and "facets" are required')
     if not isinstance(obj["vertices"], list):
-        raise MalformedInput('"vertices" must be a list')
+        raise ComplexError('"vertices" must be a list')
     degrees: dict[str, int] = {}
     duplicates = []
     for entry in obj["vertices"]:
         if not isinstance(entry, dict):
-            raise MalformedInput(f"vertex entry {entry!r} must be an object")
+            raise ComplexError(f"vertex entry {entry!r} must be an object")
         extra = set(entry) - {"id", "degree"}
         if extra:
-            raise MalformedInput(
+            raise ComplexError(
                 f"vertex entry {entry!r} has unknown keys: {sorted(extra)}"
             )
         vid = entry.get("id")
         deg = entry.get("degree")
         if not isinstance(vid, str):
-            raise MalformedInput(f"vertex id {vid!r} must be a string")
+            raise ComplexError(f"vertex id {vid!r} must be a string")
         if not isinstance(deg, int) or isinstance(deg, bool):
-            raise MalformedInput(f"degree of vertex {vid!r} must be an integer")
+            raise ComplexError(f"degree of vertex {vid!r} must be an integer")
         if vid in degrees:
             duplicates.append(vid)
         degrees[vid] = deg
     if not isinstance(obj["facets"], list):
-        raise MalformedInput('"facets" must be a list of lists')
+        raise ComplexError('"facets" must be a list of lists')
     facets = []
     for f in obj["facets"]:
         if not isinstance(f, list) or not all(isinstance(x, str) for x in f):
-            raise MalformedInput(f"facet {f!r} must be a list of vertex ids")
+            raise ComplexError(f"facet {f!r} must be a list of vertex ids")
         facets.append(frozenset(f))
     # reported once every entry has parsed, and before validate's checks
     if duplicates:

@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, get_type_hints
 
 from .admissible import SpType, SUType, Torus, classify
-from .complexes import ComplexWithDegrees, MalformedInput, Simplex
+from .complexes import ComplexError, ComplexWithDegrees, Simplex
 from .decide import Partition
 
 
@@ -430,9 +430,9 @@ def emit_json(d: ColimitDiagram) -> str:
 
 def _need(obj: object, key: str, ctx: str) -> object:
     if not isinstance(obj, dict):
-        raise MalformedInput(f"diagram {ctx} must be an object")
+        raise ComplexError(f"diagram {ctx} must be an object")
     if key not in obj:
-        raise MalformedInput(f"diagram {ctx} is missing {key!r}")
+        raise ComplexError(f"diagram {ctx} is missing {key!r}")
     return obj[key]
 
 
@@ -440,13 +440,13 @@ def _typed(obj: object, key: str, ctx: str, typ: type):
     """obj[key], which must be a typ; a JSON true/false is no int."""
     value = _need(obj, key, ctx)
     if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
-        raise MalformedInput(f"diagram {ctx} {key!r} must be a JSON {typ.__name__}")
+        raise ComplexError(f"diagram {ctx} {key!r} must be a JSON {typ.__name__}")
     return value
 
 
 def _id_tuple(value: object, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise MalformedInput(f"diagram {what} must be a list of vertex ids")
+        raise ComplexError(f"diagram {what} must be a list of vertex ids")
     return tuple(value)
 
 
@@ -462,7 +462,7 @@ def _kind_from_json(
     kind = _need(obj, "kind", what)
     cls = kinds.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise MalformedInput(f"unknown {what} kind {kind!r}")
+        raise ComplexError(f"unknown {what} kind {kind!r}")
     return cls(*(_typed(obj, name, what, typ) for name, typ in _FIELDS[cls]))
 
 
@@ -481,7 +481,7 @@ def _generator_map(obj: object) -> tuple[tuple[str, str | None], ...]:
     if not isinstance(obj, dict) or not all(
         v is None or isinstance(v, str) for v in obj.values()
     ):
-        raise MalformedInput(
+        raise ComplexError(
             "diagram generator_map must map vertex ids to ids or null"
         )
     return tuple((v, obj[v]) for v in sorted(obj))
@@ -494,9 +494,9 @@ def diagram_from_json(text: str) -> ColimitDiagram:
     try:
         return _diagram_from_obj(json.loads(text))
     except json.JSONDecodeError as e:
-        raise MalformedInput(f"invalid JSON: {e}") from None
+        raise ComplexError(f"invalid JSON: {e}") from None
     except RecursionError:
-        raise MalformedInput("diagram JSON nests too deeply") from None
+        raise ComplexError("diagram JSON nests too deeply") from None
 
 
 def _diagram_from_obj(obj: object) -> ColimitDiagram:

@@ -120,6 +120,13 @@ def naive_count(degrees: Sequence[int], d: int) -> int:
     return sum(naive_count(rest, d - k * head) for k in range(d // head + 1))
 
 
+def brute_is_face(c: ComplexWithDegrees, s: Iterable[str]) -> bool:
+    """s is a face: the empty simplex, or a set some facet contains, found
+    by testing every facet.  The oracle for the package's face test."""
+    s = frozenset(s)
+    return not s or any(s <= f for f in c.facets)
+
+
 def naive_sr_count(c: ComplexWithDegrees, d: int) -> int:
     """Basis monomials of the Stanley-Reisner ring in degree d, counted by
     enumerating exponent vectors vertex by vertex and keeping those whose
@@ -131,8 +138,7 @@ def naive_sr_count(c: ComplexWithDegrees, d: int) -> int:
         if idx == len(ids):
             if remaining != 0:
                 return 0
-            face = not support or any(support <= f for f in c.facets)
-            return 1 if face else 0
+            return 1 if brute_is_face(c, support) else 0
         v = ids[idx]
         step = c.degree_map[v]
         total = walk(idx + 1, remaining, support)
@@ -217,7 +223,7 @@ def pairwise_main_hypothesis(c: ComplexWithDegrees) -> HypothesisViolated | None
             x, y = ids[a], ids[b]
             d = c.degree_map[x]
             if d == c.degree_map[y] and d >= 4 and d & (d - 1) == 0:
-                if any({x, y} <= f for f in c.facets):
+                if brute_is_face(c, {x, y}):
                     return HypothesisViolated((x, y), d)
     return None
 

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from functools import cached_property
 
 import pytest
 
@@ -814,7 +815,8 @@ def _unknown_id_mutations(obj):
 
 class TestUnknownIds:
     """An id the complex does not declare, in any id-bearing field of a
-    diagram, is a verification failure (exit 1), not an input error."""
+    diagram, is a verification failure (exit 1), not an input error, and
+    so is a node on declared ids that span no face."""
 
     def test_every_field_gives_a_failing_report(self, tmp_path):
         complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
@@ -845,12 +847,31 @@ class TestUnknownIds:
         assert (r.returncode, r.stderr) == (1, "")
         assert "\n  structure: node sigma_x4 is not a face\n" in r.stdout
 
+    def test_node_on_a_hollow_triangle_is_not_a_face(self, tmp_path):
+        # each pair of a, b, c spans a facet, so a face test that ORs the
+        # vertices' facets where it should AND them takes [a, b, c] for a face
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        complex_path.write_text(json.dumps({
+            "vertices": [{"id": v, "degree": 2} for v in "abc"],
+            "facets": [["a", "b"], ["b", "c"], ["a", "c"]],
+        }))
+        assert cli_main(["construct", str(complex_path), "-o", str(diagram_path)]) == 0
+        obj = json.loads(diagram_path.read_text())
+        node = next(n for n in obj["nodes"] if n["name"] == "sigma_a_b")
+        obj["nodes"].append({**node, "name": "sigma_a_b_c", "simplex": ["a", "b", "c"]})
+        diagram_path.write_text(json.dumps(obj))
+        r = run(["verify", str(complex_path), "--diagram", str(diagram_path),
+                 "--format", "text"])
+        assert (r.returncode, r.stderr) == (1, "")
+        assert "\n  structure: node sigma_a_b_c is not a face\n" in r.stdout
+
 
 class TestOnePosetPerCommand:
-    """Every command builds the facet-intersection poset once and its
-    covering pairs at most once: pmax is rebound in every srrealize module
-    and MaxIntersectionPoset.covers on its class, the way the bench tracer
-    wraps them, and both are counted around one cli main call."""
+    """Every command builds the facet index and the facet-intersection
+    poset once, and its covering pairs at most once: pmax is rebound in
+    every srrealize module and MaxIntersectionPoset.covers on its class, the
+    way the bench tracer wraps them, the vertex_facets property is replaced
+    by a counting one, and all three are counted around one cli main call."""
 
     @pytest.mark.parametrize("args, text, ncovers", [
         (["check"], RING_468, 0),
@@ -876,7 +897,8 @@ class TestOnePosetPerCommand:
             cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
             args = args + [str(diagram_path)]
         pmax, covers = complexes.pmax, complexes.MaxIntersectionPoset.covers
-        calls, cover_calls = [], []
+        build_index = complexes.ComplexWithDegrees.vertex_facets.func
+        calls, cover_calls, index_builds = [], [], []
 
         def counted(c):
             calls.append(c)
@@ -886,15 +908,24 @@ class TestOnePosetPerCommand:
             cover_calls.append(poset)
             return covers(poset)
 
+        def counted_index(c):
+            index_builds.append(c)
+            return build_index(c)
+
+        index = cached_property(counted_index)
+        index.__set_name__(complexes.ComplexWithDegrees, "vertex_facets")
+
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "srrealize" and (
                 getattr(module, "pmax", None) is pmax
             ):
                 monkeypatch.setattr(module, "pmax", counted)
         monkeypatch.setattr(complexes.MaxIntersectionPoset, "covers", counted_covers)
+        monkeypatch.setattr(complexes.ComplexWithDegrees, "vertex_facets", index)
         cli_main([*args, str(complex_path), "-o", str(tmp_path / "out")])
         assert len(calls) == 1
         assert len(cover_calls) == ncovers
+        assert len(index_builds) == 1
 
 
 class TestPartition:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -20,6 +21,7 @@ from srrealize.complexes import (
 
 from helpers import (
     PROPERTY,
+    brute_is_face,
     brute_pmax,
     complexes,
     degree2_complex,
@@ -174,6 +176,28 @@ def test_is_face():
         c.degree_multiset({"x6", "x8"})
     with pytest.raises(ComplexError, match=re.escape("unknown vertex 'zz'")):
         c.degree_multiset({"zz"})
+
+
+def accepts_as_face(c, s):
+    try:
+        c.degree_multiset(s)
+    except ComplexError as e:
+        assert str(e) == f"{sorted(s)} is not a face"
+        return False
+    return True
+
+
+@PROPERTY
+@given(complexes())
+def test_face_test_is_the_brute_oracle(c):
+    # every subset of the at most 6 vertices, so every union of a face of
+    # one facet with a face of another is tried too
+    for r in range(len(c.sorted_ids) + 1):
+        for s in itertools.combinations(c.sorted_ids, r):
+            assert accepts_as_face(c, s) == brute_is_face(c, s), s
+    # facets are pairwise uncontained, so no facet holds two of them
+    for f, g in itertools.combinations(c.facets, 2):
+        assert not accepts_as_face(c, f | g)
 
 
 def test_faces_are_downward_closed():

@@ -158,6 +158,16 @@ class TestPushoutRecurrence:
         assert time.perf_counter() - start < 2.0
         assert report.passed
 
+    def test_sparse_face_test_wall_time(self):
+        # 4000 disjoint degree-2 edges; testing each facet against every
+        # facet took 0.5-0.6 s on a shared 2-vCPU host
+        c = make_complex({f"v{i}": 2 for i in range(8000)},
+                         [{f"v{2 * i}", f"v{2 * i + 1}"} for i in range(4000)])
+        start = time.perf_counter()
+        for f in c.facets:
+            c.degree_multiset(f)
+        assert time.perf_counter() - start < 0.2
+
     @PROPERTY
     @given(complexes())
     def test_last_union_column_is_the_brute_oracle(self, c):
