@@ -2,7 +2,10 @@
 
 Subcommands: check, construct, verify, partition, obstruct, prime.  Input is
 a JSON complex from a file argument or stdin ("-").  Structured output is
-JSON unless --format selects text or dot.
+JSON unless --format selects text or dot.  Every command's JSON is byte for
+byte what json.dumps(obj, indent=2) plus a newline writes, but comes from
+diagram's layout helpers: the diagram, the verify report and a Realizable
+verdict's per_sigma from record templates, everything else from json_value.
 
 Exit codes: 0 realizable (or success), 10 sufficient-only, 20 not realizable,
 30 unknown, 40 hypothesis violated, 1 verification discrepancy or no
@@ -41,7 +44,17 @@ from .decide import (
     find_partition,
     full_report,
 )
-from .diagram import ColimitDiagram, build_diagram, diagram_from_json, emit_dot, emit_json
+from .diagram import (
+    ColimitDiagram,
+    build_diagram,
+    diagram_from_json,
+    emit_dot,
+    emit_json,
+    json_container,
+    json_record,
+    json_strings,
+    json_value,
+)
 from .hilbert import MAX_TRUNCATION, check_truncation
 from .verify import verify_construction
 
@@ -93,15 +106,12 @@ def class_to_text(cls: AdmissibleClass) -> str:
     return f"{FAMILIES[type(cls)]} degrees {list(class_degrees(cls))}"
 
 
-def verdict_to_json(v: Verdict) -> dict:
+def _verdict_head(v: Verdict) -> dict:
+    """The verdict's JSON fields, all but a Realizable verdict's per_sigma,
+    which _check_json writes from templates."""
     j: dict = {"verdict": type(v).__name__}
     if isinstance(v, (Realizable, SufficientOnly)):
         j["partition"] = [list(b) for b in v.partition]
-    if isinstance(v, Realizable):
-        j["per_sigma"] = [
-            {"simplex": sorted(s), "class": class_to_json(cls)}
-            for s, cls in v.per_sigma
-        ]
     elif isinstance(v, NotRealizable):
         j["witness"] = sorted(v.witness)
         j["reason"] = reason_to_json(v.reason)
@@ -111,6 +121,28 @@ def verdict_to_json(v: Verdict) -> dict:
     return j
 
 
+# A Realizable verdict's JSON, one per_sigma record per poset element.
+_REALIZABLE = json_record(0, "verdict", "partition", "per_sigma") % (
+    '"Realizable"', "%s", "%s") + "\n"
+_SIGMA = json_record(2, "simplex", "class")
+
+
+def _check_json(v: Verdict, head: dict) -> str:
+    """check's JSON text.  Hundreds of poset elements share a handful of
+    classes, so each distinct class record is encoded once."""
+    if not isinstance(v, Realizable):
+        return json_value(head) + "\n"
+    classes: dict[AdmissibleClass, str] = {}
+    sigmas = []
+    for s, cls in v.per_sigma:
+        text = classes.get(cls)
+        if text is None:
+            text = classes[cls] = json_value(class_to_json(cls), 3)
+        sigmas.append(_SIGMA % (json_strings(sorted(s), 3), text))
+    return _REALIZABLE % (json_value(head["partition"], 1),
+                          json_container("[", sigmas, "]", 1))
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -118,14 +150,11 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _emit(args: argparse.Namespace, obj: object, text: Callable[[], str]) -> None:
-    """Write a command's output to --output, or to stdout: obj as indented
-    JSON under --format json, else text().  obj None means text() renders
-    every format."""
-    if obj is not None and args.format == "json":
-        out = json.dumps(obj, indent=2) + "\n"
-    else:
-        out = text()
+def _emit(args: argparse.Namespace, json_text: Callable[[], str],
+          text: Callable[[], str]) -> None:
+    """Write a command's output to --output, or to stdout: json_text()
+    under --format json, else text()."""
+    out = json_text() if args.format == "json" else text()
     if args.output is None:
         sys.stdout.write(out)
     else:
@@ -161,8 +190,8 @@ def _check_text(j: dict) -> str:
 
 def cmd_check(args: argparse.Namespace) -> int:
     verdict = full_report(complex_from_json(_read_input(args.input)))
-    j = verdict_to_json(verdict)
-    _emit(args, j, lambda: _check_text(j))
+    head = _verdict_head(verdict)
+    _emit(args, lambda: _check_json(verdict, head), lambda: _check_text(head))
     return VERDICT_EXIT[type(verdict)]
 
 
@@ -170,8 +199,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     diagram = _diagram_or_exit_code(complex_from_json(_read_input(args.input)))
     if isinstance(diagram, int):
         return diagram
-    emit = emit_dot if args.format == "dot" else emit_json
-    _emit(args, None, lambda: emit(diagram))
+    _emit(args, lambda: emit_json(diagram), lambda: emit_dot(diagram))
     return 0
 
 
@@ -189,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if isinstance(diagram, int):
             return diagram
     report = verify_construction(c, diagram, truncation)
-    _emit(args, report.to_json_dict(), report.to_text)
+    _emit(args, report.to_json, report.to_text)
     return 0 if report.passed else 1
 
 
@@ -197,7 +225,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     part = find_partition(complex_from_json(_read_input(args.input)))
     blocks = None if part is None else [list(b) for b in part]
     text = "none" if part is None else " | ".join(",".join(b) for b in part)
-    _emit(args, {"partition": blocks}, lambda: text + "\n")
+    _emit(args, lambda: json_value({"partition": blocks}) + "\n",
+          lambda: text + "\n")
     return 0 if part is not None else 1
 
 
@@ -209,7 +238,7 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
         {"simplex": ids, "multiset": ms, "class": class_to_json(cls)}
         for ids, ms, cls in entries
     ]}
-    _emit(args, obj, lambda: "\n".join(
+    _emit(args, lambda: json_value(obj) + "\n", lambda: "\n".join(
         f"sigma {ids}: multiset {ms} -> {class_to_text(cls)}"
         for ids, ms, cls in entries
     ) + "\n")
@@ -221,8 +250,8 @@ def cmd_prime(args: argparse.Namespace) -> int:
     p = dirichlet_prime(extras, args.gt)
     moduli = [16, 3, 5, 7] + list(extras)
     residues = ", ".join(f"mod {m} = {p % m}" for m in moduli)
-    _emit(args, {"prime": p, "residues": {str(m): p % m for m in moduli}},
-          lambda: f"{p} ({residues})\n")
+    obj = {"prime": p, "residues": {str(m): p % m for m in moduli}}
+    _emit(args, lambda: json_value(obj) + "\n", lambda: f"{p} ({residues})\n")
     return 0
 
 

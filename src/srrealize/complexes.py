@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Simplex = frozenset[str]
 DegreeMultiset = tuple[int, ...]
@@ -97,9 +97,9 @@ class ComplexWithDegrees:
         simplex, or ids of declared vertices that lie in one facet, which
         facets_containing finds in O(|s|)."""
         s = frozenset(s)
-        for x in s:
-            if x not in self.degree_map:
-                raise ComplexError(f"unknown vertex {x!r}")
+        unknown = [x for x in s if x not in self.degree_map]
+        if unknown:  # the least, so the message does not follow hash order
+            raise ComplexError(f"unknown vertex {min(unknown)!r}")
         if not facets_containing(self.vertex_facets, s):
             raise ComplexError(f"{sorted(s)} is not a face")
         return tuple(sorted(self.degree_map[x] for x in s))
@@ -113,6 +113,23 @@ def facets_containing(vertex_facets: Mapping[str, int], s: Iterable[str]) -> int
     for v in s:
         key &= vertex_facets.get(v, 0)
     return key
+
+
+def bitmasks(c: ComplexWithDegrees, faces: Iterable[Simplex]) -> list[int]:
+    """The faces as vertex bitmasks: bit i stands for c.sorted_ids[i]."""
+    bit = {v: 1 << i for i, v in enumerate(c.sorted_ids)}
+    return [sum(map(bit.__getitem__, s)) for s in faces]
+
+
+def mask_ids(ids: Sequence[str], mask: int) -> tuple[str, ...]:
+    """The ids of a bitmask's set bits, lowest first: ids[i] for bit i, so
+    in sorted order when ids is c.sorted_ids."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def make_complex(
@@ -194,17 +211,21 @@ class MaxIntersectionPoset:
 
 
 def pmax(c: ComplexWithDegrees) -> MaxIntersectionPoset:
-    """Compute the facet-intersection poset one facet at a time: with the
-    intersections of every nonempty subset of the earlier facets in els,
-    those that use facet f too are f itself and f & e for e in els.  A step
-    at most doubles els, which raises once past MAX_POSET_ELEMENTS."""
-    els: set[Simplex] = set()
-    for f in c.facets:
-        els |= {f & e for e in els} | {f}
+    """Compute the facet-intersection poset one facet at a time, on vertex
+    bitmasks: with the intersections of every nonempty subset of the
+    earlier facets in els, those that use facet f too are f itself and
+    f & e for e in els.  A step at most doubles els, which raises once past
+    MAX_POSET_ELEMENTS.  An element's set bits, lowest first, are its
+    sorted ids."""
+    els: set[int] = set()
+    for f in bitmasks(c, c.facets):
+        els |= {f & e for e in els}
+        els.add(f)
         if len(els) > MAX_POSET_ELEMENTS:
             raise ComplexError(f"facet-intersection poset exceeds the cap "
                                f"of {MAX_POSET_ELEMENTS} elements")
-    keys = tuple(sorted(map(simplex_key, els)))
+    ids = c.sorted_ids
+    keys = tuple(sorted(mask_ids(ids, e) for e in els))
     return MaxIntersectionPoset(
         tuple(map(frozenset, keys)), c.vertex_facets, keys,
         tuple(tuple(sorted(c.degree_map[v] for v in k)) for k in keys),

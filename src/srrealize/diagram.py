@@ -324,12 +324,14 @@ def emit_dot(d: ColimitDiagram) -> str:
 
 # JSON text as json.dumps(obj, indent=2) lays it out: a container at depth d
 # puts each item on its own line at depth d + 1 and its closing bracket on a
-# line at depth d; an empty one is "[]" or "{}".
+# line at depth d; an empty one is "[]" or "{}".  Every command's JSON output
+# is written by these helpers: the diagram here, the verify report and the
+# check verdict from record templates, and the rest by json_value.
 _NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
 _ITEM_SEP = tuple("," + nl for nl in _NEWLINE)
 
 
-def _container(open_: str, items: list[str], close: str, depth: int) -> str:
+def json_container(open_: str, items: list[str], close: str, depth: int) -> str:
     """Encoded items in a JSON container whose closing bracket sits at depth."""
     if not items:
         return open_ + close
@@ -337,9 +339,9 @@ def _container(open_: str, items: list[str], close: str, depth: int) -> str:
             + _NEWLINE[depth] + close)
 
 
-def _record(depth: int, *keys: str) -> str:
+def json_record(depth: int, *keys: str) -> str:
     """An object at depth with these keys, as a template: one %s per value."""
-    return _container(
+    return json_container(
         "{", [encode_basestring_ascii(k) + ": %s" for k in keys], "}", depth
     )
 
@@ -347,44 +349,62 @@ def _record(depth: int, *keys: str) -> str:
 # Each record's layout, built once; a slot takes a value already encoded at
 # the slot's depth.  Filling slots is one % pass, so data never becomes a
 # template.  A kind's head is filled in here and its field slots put back.
-_FILE = _record(0, "partition", "nodes", "edges") + "\n"
-_NODE = _record(2, "name", "simplex", "factors")
-_FACTOR = _record(4, "block", "factor", "cp_vertices", "lie_vertices")
-_EDGE = _record(2, "from", "to", "source", "target", "maps", "generator_map")
-_MAP = _record(4, "block", "lie", "cp")
-_CP = _record(5, "source", "target")
+_FILE = json_record(0, "partition", "nodes", "edges") + "\n"
+_NODE = json_record(2, "name", "simplex", "factors")
+_FACTOR = json_record(4, "block", "factor", "cp_vertices", "lie_vertices")
+_EDGE = json_record(2, "from", "to", "source", "target", "maps", "generator_map")
+_MAP = json_record(4, "block", "lie", "cp")
+_CP = json_record(5, "source", "target")
 _KIND = {
-    cls: _record(5, "kind", *(name for name, _ in _FIELDS[cls]))
+    cls: json_record(5, "kind", *(name for name, _ in _FIELDS[cls]))
     % (encode_basestring_ascii(kind), *["%s"] * len(_FIELDS[cls]))
     for cls, kind in _KIND_NAMES.items()
 }
 
 
-def _ids_json(ids: Iterable[str], depth: int) -> str:
-    return _container("[", [encode_basestring_ascii(v) for v in ids], "]", depth)
+def json_strings(strs: Iterable[str], depth: int) -> str:
+    return json_container("[", [encode_basestring_ascii(v) for v in strs], "]", depth)
 
 
-def _scalar_json(value: int | bool) -> str:
+def json_value(value: object, depth: int = 0) -> str:
+    """A bool, int, str, None, dict with str keys, list or tuple at depth,
+    as json.dumps(value, indent=2) writes it: the writer of every output
+    small enough to need no template."""
     if value is True or value is False:
         return "true" if value else "false"
-    return int.__repr__(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        return json_container("{", [
+            encode_basestring_ascii(k) + ": " + json_value(v, depth + 1)
+            for k, v in value.items()
+        ], "}", depth)
+    if isinstance(value, (list, tuple)):
+        return json_container(
+            "[", [json_value(v, depth + 1) for v in value], "]", depth
+        )
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _kind_json(value: FactorLabel | LieMap) -> str:
     cls = type(value)
     return _KIND[cls] % tuple(
-        _scalar_json(getattr(value, name)) for name, _ in _FIELDS[cls]
+        json_value(getattr(value, name)) for name, _ in _FIELDS[cls]
     )
 
 
 def _node_json(n: DiagramNode) -> str:
     factors = [
         _FACTOR % (int.__repr__(bl.block), _kind_json(bl.factor),
-                   _ids_json(bl.cp_vertices, 5), _ids_json(bl.lie_vertices, 5))
+                   json_strings(bl.cp_vertices, 5), json_strings(bl.lie_vertices, 5))
         for bl in n.blocks
     ]
-    return _NODE % (encode_basestring_ascii(n.name), _ids_json(n.simplex, 3),
-                    _container("[", factors, "]", 3))
+    return _NODE % (encode_basestring_ascii(n.name), json_strings(n.simplex, 3),
+                    json_container("[", factors, "]", 3))
 
 
 def _edge_json(e: DiagramEdge) -> str:
@@ -393,7 +413,7 @@ def _edge_json(e: DiagramEdge) -> str:
             int.__repr__(bm.block),
             "null" if bm.lie is None else _kind_json(bm.lie),
             "null" if bm.cp is None else
-            _CP % (_ids_json(bm.cp.source, 6), _ids_json(bm.cp.target, 6)),
+            _CP % (json_strings(bm.cp.source, 6), json_strings(bm.cp.target, 6)),
         )
         for bm in e.maps
     ]
@@ -406,8 +426,8 @@ def _edge_json(e: DiagramEdge) -> str:
     ]
     return _EDGE % (
         encode_basestring_ascii(e.source), encode_basestring_ascii(e.target),
-        _ids_json(e.source_simplex, 3), _ids_json(e.target_simplex, 3),
-        _container("[", maps, "]", 3), _container("{", generators, "}", 3),
+        json_strings(e.source_simplex, 3), json_strings(e.target_simplex, 3),
+        json_container("[", maps, "]", 3), json_container("{", generators, "}", 3),
     )
 
 
@@ -422,9 +442,9 @@ def emit_json(d: ColimitDiagram) -> str:
     by %, not json.dumps, whose indented encoder is pure Python.
     diagram_from_json reads it back."""
     return _FILE % (
-        _container("[", [_ids_json(b, 2) for b in d.partition], "]", 1),
-        _container("[", [_node_json(n) for n in d.nodes], "]", 1),
-        _container("[", [_edge_json(e) for e in d.edges], "]", 1),
+        json_container("[", [json_strings(b, 2) for b in d.partition], "]", 1),
+        json_container("[", [_node_json(n) for n in d.nodes], "]", 1),
+        json_container("[", [_edge_json(e) for e in d.edges], "]", 1),
     )
 
 

@@ -20,9 +20,9 @@ poset P is the smallest such family; P plus the empty face is another, and
 for a complex without facets it is {empty face}, the point.  One loop,
 moebius_weights, weighs every family, and skips elements of weight 0.
 
-Faces are vertex bitmasks (bitmasks): bit i stands for c.sorted_ids[i], so
-a set bit b is decoded as the vertex c.sorted_ids[b.bit_length() - 1] and
-its degree read from c.degree_map.
+Faces are vertex bitmasks (complexes.bitmasks): bit i stands for
+c.sorted_ids[i], so complexes.mask_ids decodes a face's vertices, lowest
+bit first, and their degrees are read from c.degree_map.
 
 All counts are exact Python integers; only even degrees carry anything, so a
 Hilbert function up to an even degree D is a tuple h of D/2 + 1 entries,
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import ComplexWithDegrees, DegreeMultiset, Simplex
+from .complexes import ComplexWithDegrees, DegreeMultiset, bitmasks, mask_ids
 
 MAX_TRUNCATION = 10_000
 
@@ -74,12 +74,6 @@ def free_hilbert(ms: DegreeMultiset, truncation: int) -> Hilbert:
     return tuple(_count_ways(ms, truncation // 2 + 1))
 
 
-def bitmasks(c: ComplexWithDegrees, faces: Iterable[Simplex]) -> list[int]:
-    """The faces as vertex bitmasks: bit i stands for c.sorted_ids[i]."""
-    bit = {v: 1 << i for i, v in enumerate(c.sorted_ids)}
-    return [sum(bit[v] for v in s) for s in faces]
-
-
 def moebius_weights(
     family: Iterable[int], above: Mapping[int, int] | None = None
 ) -> dict[int, int]:
@@ -117,17 +111,12 @@ def add_free_hilbert(
     function of Z[s] (faces as bitmasks of c's vertices, see bitmasks), up
     to base's truncation, with one free-ring count per distinct degree
     multiset."""
-    # degree multisets are read from the set bits of each element (lowest
-    # first), not from every vertex
+    # degree multisets are read from the set bits of each element, not
+    # from every vertex
     ids, degree = c.sorted_ids, c.degree_map
     per_multiset: dict[DegreeMultiset, int] = {}
     for s, w in weight.items():
-        degrees, rest = [], s
-        while rest:
-            low = rest & -rest
-            degrees.append(degree[ids[low.bit_length() - 1]])
-            rest ^= low
-        ms = tuple(sorted(degrees))
+        ms = tuple(sorted(degree[v] for v in mask_ids(ids, s)))
         per_multiset[ms] = per_multiset.get(ms, 0) + w
     h = base
     for ms, w in per_multiset.items():

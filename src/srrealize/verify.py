@@ -38,8 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import takewhile
+from json.encoder import encode_basestring_ascii
 
-from .complexes import ComplexError, ComplexWithDegrees, DegreeMultiset, simplex_key
+from .complexes import (
+    ComplexError,
+    ComplexWithDegrees,
+    DegreeMultiset,
+    bitmasks,
+    simplex_key,
+)
 from .diagram import (
     ColimitDiagram,
     CPInfPower,
@@ -48,13 +55,16 @@ from .diagram import (
     Point,
     SpaceLabel,
     expected_block_maps,
+    json_container,
+    json_record,
+    json_strings,
+    json_value,
     lie_degrees,
     node_name,
     partition_issues,
 )
 from .hilbert import (
     add_free_hilbert,
-    bitmasks,
     check_truncation,
     free_hilbert,
     mobius_hilbert,
@@ -144,40 +154,39 @@ class VerificationReport:
                     )
         return None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "D": self.truncation,
-            "passed": self.passed,
-            "first_discrepancy": self.first_discrepancy,
-            "structure": list(self.structure_issues),
-            "nodes": [
-                {
-                    "name": n.name,
-                    "ok": n.ok,
-                    "first_bad_degree": n.first_bad_degree,
-                    "expected": n.expected,
-                    "got": n.got,
-                }
-                for n in self.node_checks
-            ],
-            "edges": [
-                {"from": e.source, "to": e.target, "ok": e.ok, "detail": e.detail}
-                for e in self.edge_checks
-            ],
-            "steps": [
-                {
-                    "index": s.index,
-                    "facet": list(s.facet),
-                    "ok": s.ok,
-                    "rows": [
-                        [r.degree, r.union_dim, r.previous_dim, r.free_dim,
-                         r.intersection_dim]
-                        for r in s.rows
-                    ],
-                }
-                for s in self.steps
-            ],
-        }
+    def to_json(self) -> str:
+        """The report as JSON text, from the record templates."""
+        nodes = [
+            _NODE_OK % encode_basestring_ascii(n.name)
+            if (n.first_bad_degree, n.expected, n.got) == (None, None, None)
+            else _NODE % tuple(map(json_value, (
+                n.name, n.ok, n.first_bad_degree, n.expected, n.got)))
+            for n in self.node_checks
+        ]
+        edges = [
+            _EDGE_OK % (encode_basestring_ascii(e.source),
+                        encode_basestring_ascii(e.target)) if e.ok
+            else _EDGE % tuple(map(json_value, (
+                e.source, e.target, e.ok, e.detail)))
+            for e in self.edge_checks
+        ]
+        steps = [
+            _STEP % (s.index, json_strings(s.facet, 3), json_value(s.ok),
+                     json_container("[", [
+                         _ROW % (r.degree, r.union_dim, r.previous_dim,
+                                 r.free_dim, r.intersection_dim)
+                         for r in s.rows
+                     ], "]", 3))
+            for s in self.steps
+        ]
+        return _REPORT % (
+            self.truncation, json_value(self.passed),
+            json_value(self.first_discrepancy),
+            json_strings(self.structure_issues, 1),
+            json_container("[", nodes, "]", 1),
+            json_container("[", edges, "]", 1),
+            json_container("[", steps, "]", 1),
+        )
 
     def to_text(self) -> str:
         lines = [f"verification up to degree {self.truncation}: "
@@ -201,6 +210,19 @@ class VerificationReport:
                     f"{r.free_dim} - {r.intersection_dim}{mark}"
                 )
         return "\n".join(lines) + "\n"
+
+
+# The report's records, laid out as diagram.json_record lays them out; a
+# passing node or edge, most of them, fills a template with its fixed values
+# already in.
+_REPORT = json_record(0, "D", "passed", "first_discrepancy", "structure",
+                      "nodes", "edges", "steps") + "\n"
+_NODE = json_record(2, "name", "ok", "first_bad_degree", "expected", "got")
+_NODE_OK = _NODE % ("%s", "true", "null", "null", "null")
+_EDGE = json_record(2, "from", "to", "ok", "detail")
+_EDGE_OK = _EDGE % ("%s", "%s", "true", '""')
+_STEP = json_record(2, "index", "facet", "ok", "rows")
+_ROW = json_container("[", ["%d"] * 5, "]", 4)
 
 
 def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> VerificationReport:

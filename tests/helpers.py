@@ -7,8 +7,8 @@ pushout recurrence by rebuilding every prefix complex and by reweighing the
 whole growing family of facet intersections at every step, partitions by
 listing every set partition, table membership by searching every disjoint
 union of table rows, the main hypothesis by testing every vertex pair for a
-face, diagram JSON by building the object and handing it to
-json.dumps, and primes by trial division.
+face, diagram JSON, the check verdict and the verify report by building
+the object and handing it to json.dumps, and primes by trial division.
 """
 from __future__ import annotations
 
@@ -47,13 +47,21 @@ from srrealize.complexes import (
     DegreeMultiset,
     Simplex,
     all_faces,
+    bitmasks,
     simplex_key,
 )
-from srrealize.decide import HypothesisViolated, Partition
+from srrealize.cli import class_to_json, reason_to_json
+from srrealize.decide import (
+    HypothesisViolated,
+    NotRealizable,
+    Partition,
+    Realizable,
+    SufficientOnly,
+    Verdict,
+)
 from srrealize.diagram import FACTOR_KINDS, MAP_KINDS, ColimitDiagram
 from srrealize.hilbert import (
     Hilbert,
-    bitmasks,
     check_truncation,
     free_hilbert,
     mobius_hilbert,
@@ -281,6 +289,65 @@ def reference_emit_json(d: ColimitDiagram) -> str:
         ],
     }
     return json.dumps(obj, indent=2) + "\n"
+
+
+def verdict_to_json(v: Verdict) -> dict:
+    """The object `check` prints, as cli built it before its JSON writer:
+    laid out by json.dumps(obj, indent=2), it fixes check's bytes."""
+    j: dict = {"verdict": type(v).__name__}
+    if isinstance(v, (Realizable, SufficientOnly)):
+        j["partition"] = [list(b) for b in v.partition]
+    if isinstance(v, Realizable):
+        j["per_sigma"] = [
+            {"simplex": sorted(s), "class": class_to_json(cls)}
+            for s, cls in v.per_sigma
+        ]
+    elif isinstance(v, NotRealizable):
+        j["witness"] = sorted(v.witness)
+        j["reason"] = reason_to_json(v.reason)
+    elif isinstance(v, HypothesisViolated):
+        j["pair"] = list(v.pair)
+        j["shared_power_degree"] = v.shared_power_degree
+    return j
+
+
+def report_to_json_dict(report: VerificationReport) -> dict:
+    """The object `verify` prints, as VerificationReport built it before
+    its JSON writer: laid out by json.dumps(obj, indent=2), it fixes
+    verify's bytes."""
+    return {
+        "D": report.truncation,
+        "passed": report.passed,
+        "first_discrepancy": report.first_discrepancy,
+        "structure": list(report.structure_issues),
+        "nodes": [
+            {
+                "name": n.name,
+                "ok": n.ok,
+                "first_bad_degree": n.first_bad_degree,
+                "expected": n.expected,
+                "got": n.got,
+            }
+            for n in report.node_checks
+        ],
+        "edges": [
+            {"from": e.source, "to": e.target, "ok": e.ok, "detail": e.detail}
+            for e in report.edge_checks
+        ],
+        "steps": [
+            {
+                "index": s.index,
+                "facet": list(s.facet),
+                "ok": s.ok,
+                "rows": [
+                    [r.degree, r.union_dim, r.previous_dim, r.free_dim,
+                     r.intersection_dim]
+                    for r in s.rows
+                ],
+            }
+            for s in report.steps
+        ],
+    }
 
 
 def brute_pmax(c: ComplexWithDegrees) -> list[Simplex]:

@@ -83,3 +83,18 @@ def test_verify_reads_none_of_the_construction():
     read = _read_names({"verify.py": _trees()["verify.py"]})
     builders = {"label_node", "build_diagram", "classify", "find_partition"}
     assert read & builders == set()
+
+
+def test_no_json_dumps_in_src_passes_indent():
+    # every command's JSON goes through one writer, diagram's layout
+    # helpers; json.dumps(obj, indent=2) stays in tests/ as their oracle
+    calls = sorted(
+        (name, node.lineno)
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("dump", "dumps")
+        and any(k.arg == "indent" for k in node.keywords)
+    )
+    assert calls == []

@@ -1,6 +1,8 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import pkgutil
 import resource
@@ -10,12 +12,32 @@ import time
 from functools import cached_property
 
 import pytest
+from hypothesis import given, strategies as st
 
-from helpers import cli_env, naive_congruence_prime, ring_double_fan
+from helpers import (
+    PROPERTY,
+    cli_env,
+    complexes as complex_draws,
+    naive_congruence_prime,
+    report_to_json_dict,
+    ring_double_fan,
+    verdict_to_json,
+)
 import srrealize
-from srrealize import complexes
-from srrealize.admissible import sp_degrees
-from srrealize.cli import main as cli_main
+from srrealize import (
+    Realizable,
+    SufficientOnly,
+    build_diagram,
+    classify,
+    complexes,
+    full_report,
+    make_complex,
+    verify_construction,
+)
+from srrealize.admissible import dirichlet_prime, sp_degrees
+from srrealize.cli import class_to_json, main as cli_main
+from srrealize.decide import find_partition
+from srrealize.diagram import diagram_from_json
 
 RING_468 = json.dumps({
     "vertices": [
@@ -1239,3 +1261,135 @@ class TestDeterminism:
         })
         assert run(["check"], RING_468).stdout == run(["check"], flipped).stdout
         assert run(["construct"], RING_468).stdout == run(["construct"], flipped).stdout
+
+
+def main_stdout(argv, stdin=""):
+    """cli.main in-process on stdin text: (exit code, stdout)."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def dumps_indented(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def oracle_outputs(c):
+    """What check, partition, obstruct and (when there is a partition)
+    verify must print for c: json.dumps(obj, indent=2) + "\\n" on the
+    object each command used to hand to json.dumps."""
+    verdict = full_report(c)
+    part = find_partition(c)
+    out = {
+        "check": verdict_to_json(verdict),
+        "partition": {"partition": None if part is None else [list(b) for b in part]},
+        "obstruct": {"sigmas": [
+            {"simplex": list(k), "multiset": list(ms),
+             "class": class_to_json(classify(ms))}
+            for k, ms in zip(c.poset.keys, c.poset.multisets)
+        ]},
+    }
+    if isinstance(verdict, (Realizable, SufficientOnly)):
+        d = 6 * max(c.degree_map.values(), default=2)
+        report = verify_construction(c, build_diagram(c, verdict.partition), d)
+        out["verify"] = report_to_json_dict(report)
+    return {cmd: dumps_indented(obj) for cmd, obj in out.items()}
+
+
+# Format directives, a quote, a backslash, "_" and a non-ASCII letter: the
+# record templates are filled with %, so an id must never become template
+# text.
+HOSTILE_IDS = ("p%", "q%s", "r%%", 's"', "t\\", "u_", "vé")
+
+
+class TestJsonWriterBytes:
+    """Every command writes its JSON through one writer (diagram's layout
+    helpers), with exactly the bytes json.dumps(obj, indent=2) + "\\n"
+    writes for the object the command used to build."""
+
+    @PROPERTY
+    @given(complex_draws())
+    def test_every_command_matches_json_dumps(self, c):
+        text = complex_json(c)
+        for cmd, want in oracle_outputs(c).items():
+            assert main_stdout([cmd], text)[1] == want, cmd
+
+    @pytest.mark.parametrize("text", [
+        RING_468, SPLIT_46, PAIR_44, EXCEPTIONAL, BLOCKED_PAIR, TORUS_20,
+        TORUS_AND_SP, TORUS_BESIDE_SP, ADEM_416, THOMAS_412, COLLIDING_NAMES,
+    ])
+    def test_every_fixture_matches_json_dumps(self, text):
+        # between them the fixtures give every verdict kind and every
+        # obstruction reason
+        for cmd, want in oracle_outputs(srrealize.complex_from_json(text)).items():
+            assert main_stdout([cmd], text)[1] == want, cmd
+
+    def test_fixtures_cover_every_verdict(self):
+        verdicts = {
+            json.loads(main_stdout(["check"], text)[1])["verdict"]
+            for text in (RING_468, PAIR_44, EXCEPTIONAL, BLOCKED_PAIR,
+                         ADEM_416, THOMAS_412)
+        }
+        assert verdicts == {"Realizable", "SufficientOnly", "NotRealizable",
+                            "Unknown", "HypothesisViolated"}
+
+    @PROPERTY
+    @given(st.integers(0, 10**6),
+           st.lists(st.sampled_from([11, 13, 17, 19, 23]), unique=True,
+                    max_size=3))
+    def test_prime_matches_json_dumps(self, gt, extras):
+        argv = ["prime", "--gt", str(gt)]
+        for q in extras:
+            argv += ["--extra", str(q)]
+        p = dirichlet_prime(extras, gt)
+        want = {"prime": p,
+                "residues": {str(m): p % m for m in [16, 3, 5, 7, *extras]}}
+        assert main_stdout(argv) == (0, dumps_indented(want))
+
+    def _hostile(self):
+        p, q, r, s, t, u, v = HOSTILE_IDS
+        return make_complex(dict(zip(HOSTILE_IDS, (4, 6, 2, 2, 4, 8, 2))),
+                            [{p, q, r}, {p, u, s}, {t, v}])
+
+    def test_hostile_ids_through_check_and_verify(self):
+        c = self._hostile()
+        outputs = oracle_outputs(c)
+        assert set(outputs) == {"check", "partition", "obstruct", "verify"}
+        for cmd, want in outputs.items():
+            assert main_stdout([cmd], complex_json(c))[1] == want, cmd
+        for written in ('"p%"', '"q%s"', '"r%%"', '"s\\""', '"t\\\\"', '"u_"',
+                        '"v\\u00e9"'):
+            assert written in outputs["check"]
+            assert written in outputs["verify"]
+
+    def test_hostile_ids_in_a_failing_report(self, tmp_path):
+        # failing nodes and edges, structure issues and the first
+        # discrepancy all quote hostile ids
+        c = self._hostile()
+        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
+        complex_path.write_text(complex_json(c))
+        assert cli_main(["construct", str(complex_path), "-o",
+                         str(diagram_path)]) == 0
+        obj = json.loads(diagram_path.read_text())
+        obj["nodes"][-1]["factors"][0]["factor"] = {"kind": "BSU", "n": 9}
+        obj["edges"][0]["generator_map"] = {"q%s": None}
+        obj["nodes"][0]["simplex"] = ["w%s", 'x"']
+        obj["partition"] = [["p%", "q%s"], ["r%%"]]
+        text = json.dumps(obj)
+        diagram_path.write_text(text)
+        report = verify_construction(c, diagram_from_json(text), 48)
+        assert not report.passed
+        assert any(not n.ok for n in report.node_checks)
+        assert any(not e.ok for e in report.edge_checks)
+        assert report.structure_issues
+        code, out = main_stdout(["verify", str(complex_path), "--diagram",
+                                 str(diagram_path)])
+        assert code == 1
+        assert out == dumps_indented(report_to_json_dict(report))
+        assert "'w%s'" in out and '"sigma_p%_q%s_r%%"' in out

@@ -4,6 +4,8 @@ import itertools
 import json
 import random
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -23,6 +25,7 @@ from helpers import (
     PROPERTY,
     brute_is_face,
     brute_pmax,
+    cli_env,
     complexes,
     degree2_complex,
     naive_covers,
@@ -178,6 +181,22 @@ def test_is_face():
         c.degree_multiset({"zz"})
 
 
+def test_unknown_vertex_is_the_least_under_every_hash_seed():
+    # frozenset order follows the per-process hash seed; the message names
+    # the least unknown id whatever it is
+    code = (
+        "from srrealize import make_complex\n"
+        "try:\n"
+        "    make_complex({'a': 2}, [{'a'}]).degree_multiset({'zz', 'yy', 'xx'})\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    for seed in ("1", "5"):
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=cli_env(PYTHONHASHSEED=seed))
+        assert (r.stdout, r.stderr) == ("unknown vertex 'xx'\n", ""), seed
+
+
 def accepts_as_face(c, s):
     try:
         c.degree_multiset(s)
@@ -245,6 +264,24 @@ def test_pmax_matches_subset_oracle():
         for e, key, ms in zip(poset.elements, poset.keys, poset.multisets):
             assert key == simplex_key(e)
             assert ms == c.degree_multiset(e)
+
+
+def test_pmax_keys_follow_id_order_not_declaration_order():
+    # bit i of an element stands for the i-th sorted id, so its set bits,
+    # lowest first, are its key; ids declared out of order, with "_", an
+    # upper-case letter and a non-ASCII one
+    ids = ["z", "b_", "b", "A", "é", "a10", "a2"]
+    facets = [["z", "b", "A", "a10"], ["b_", "b", "é", "a2", "A"],
+              ["z", "é", "a10", "a2"], ["b_", "z", "A"]]
+    c = complex_from_json(json.dumps({
+        "vertices": [{"id": v, "degree": 2 + 2 * i} for i, v in enumerate(ids)],
+        "facets": facets,
+    }))
+    poset = pmax(c)
+    assert list(poset.elements) == brute_pmax(c)
+    assert frozenset() in poset.elements
+    assert poset.keys == tuple(simplex_key(e) for e in poset.elements)
+    assert poset.multisets == tuple(c.degree_multiset(e) for e in poset.elements)
 
 
 def test_pmax_closed_under_intersection_and_facets_maximal():
