@@ -77,6 +77,11 @@ PROPERTY = settings(
 )
 
 
+# Ids that read as format directives, beside the escapes json applies: a
+# record template filled with % must write each of them as it stands.
+HOSTILE_IDS = ("p%", "q%s", "r%%", 's"', "t\\", "u_", "v\u00e9")
+
+
 def cli_env(**extra: str) -> dict[str, str]:
     """The environment for a `python -m srrealize.cli` child: this
     checkout's src first on PYTHONPATH, which pytest's own pythonpath

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    HOSTILE_IDS,
     PROPERTY,
     cli_env,
     complexes as complex_draws,
@@ -1300,12 +1301,6 @@ def oracle_outputs(c):
         report = verify_construction(c, build_diagram(c, verdict.partition), d)
         out["verify"] = report_to_json_dict(report)
     return {cmd: dumps_indented(obj) for cmd, obj in out.items()}
-
-
-# Format directives, a quote, a backslash, "_" and a non-ASCII letter: the
-# record templates are filled with %, so an id must never become template
-# text.
-HOSTILE_IDS = ("p%", "q%s", "r%%", 's"', "t\\", "u_", "vé")
 
 
 class TestJsonWriterBytes:

@@ -43,6 +43,7 @@ from srrealize.diagram import (
 )
 
 from helpers import (
+    HOSTILE_IDS,
     PROPERTY,
     complexes,
     naive_covers,
@@ -512,9 +513,6 @@ class TestJsonBytes:
         assert diagram_from_json(text) == d
 
 
-# Ids that read as format directives, beside the escapes json applies: a
-# template filled with % must write each of them as it stands.
-HOSTILE_IDS = ("p%", "q%s", "r%%", 's"', "t\\", "u_", "v\u00e9")
 
 
 def _hostile_built():
