@@ -2,10 +2,8 @@
 
 Subcommands: check, construct, verify, partition, obstruct, prime.  Input is
 a JSON complex from a file argument or stdin ("-").  Structured output is
-JSON unless --format selects text or dot.  Every command's JSON is byte for
-byte what json.dumps(obj, indent=2) plus a newline writes, but comes from
-diagram's layout helpers: the diagram, the verify report and a Realizable
-verdict's per_sigma from record templates, everything else from json_value.
+JSON unless --format selects text or dot, byte for byte what
+json.dumps(obj, indent=2) plus a newline writes.
 
 Exit codes: 0 realizable (or success), 10 sufficient-only, 20 not realizable,
 30 unknown, 40 hypothesis violated, 1 verification discrepancy or no

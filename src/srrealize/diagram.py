@@ -324,9 +324,7 @@ def emit_dot(d: ColimitDiagram) -> str:
 
 # JSON text as json.dumps(obj, indent=2) lays it out: a container at depth d
 # puts each item on its own line at depth d + 1 and its closing bracket on a
-# line at depth d; an empty one is "[]" or "{}".  Every command's JSON output
-# is written by these helpers: the diagram here, the verify report and the
-# check verdict from record templates, and the rest by json_value.
+# line at depth d; an empty one is "[]" or "{}".
 _NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
 _ITEM_SEP = tuple("," + nl for nl in _NEWLINE)
 

@@ -157,17 +157,15 @@ class VerificationReport:
     def to_json(self) -> str:
         """The report as JSON text, from the record templates."""
         nodes = [
-            _NODE_OK % encode_basestring_ascii(n.name)
-            if (n.first_bad_degree, n.expected, n.got) == (None, None, None)
-            else _NODE % tuple(map(json_value, (
-                n.name, n.ok, n.first_bad_degree, n.expected, n.got)))
+            _NODE % (encode_basestring_ascii(n.name), json_value(n.ok),
+                     json_value(n.first_bad_degree), json_value(n.expected),
+                     json_value(n.got))
             for n in self.node_checks
         ]
         edges = [
-            _EDGE_OK % (encode_basestring_ascii(e.source),
-                        encode_basestring_ascii(e.target)) if e.ok
-            else _EDGE % tuple(map(json_value, (
-                e.source, e.target, e.ok, e.detail)))
+            _EDGE % (encode_basestring_ascii(e.source),
+                     encode_basestring_ascii(e.target), json_value(e.ok),
+                     encode_basestring_ascii(e.detail))
             for e in self.edge_checks
         ]
         steps = [
@@ -212,15 +210,11 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-# The report's records, laid out as diagram.json_record lays them out; a
-# passing node or edge, most of them, fills a template with its fixed values
-# already in.
+# The report's records, laid out as diagram.json_record lays them out.
 _REPORT = json_record(0, "D", "passed", "first_discrepancy", "structure",
                       "nodes", "edges", "steps") + "\n"
 _NODE = json_record(2, "name", "ok", "first_bad_degree", "expected", "got")
-_NODE_OK = _NODE % ("%s", "true", "null", "null", "null")
 _EDGE = json_record(2, "from", "to", "ok", "detail")
-_EDGE_OK = _EDGE % ("%s", "%s", "true", '""')
 _STEP = json_record(2, "index", "facet", "ok", "rows")
 _ROW = json_container("[", ["%d"] * 5, "]", 4)
 
