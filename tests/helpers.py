@@ -12,11 +12,16 @@ the object and handing it to json.dumps, and primes by trial division.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import os
 import random
-from collections import Counter
+import resource
+import subprocess
+import sys
+from collections import Counter, namedtuple
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,7 +55,7 @@ from srrealize.complexes import (
     bitmasks,
     simplex_key,
 )
-from srrealize.cli import class_to_json, reason_to_json
+from srrealize.cli import class_to_json, main as cli_main, reason_to_json
 from srrealize.decide import (
     HypothesisViolated,
     NotRealizable,
@@ -82,15 +87,46 @@ PROPERTY = settings(
 HOSTILE_IDS = ("p%", "q%s", "r%%", 's"', "t\\", "u_", "v\u00e9")
 
 
-def cli_env(**extra: str) -> dict[str, str]:
-    """The environment for a `python -m srrealize.cli` child: this
-    checkout's src first on PYTHONPATH, which pytest's own pythonpath
-    setting does not pass on, then extra."""
+# What a CLI run gives back, under subprocess.CompletedProcess's names.
+CliResult = namedtuple("CliResult", "returncode stdout stderr")
+
+
+def run_cli(argv: Sequence[str], stdin: str = "") -> CliResult:
+    """cli.main in-process on stdin text, with stdout and stderr captured.
+    argparse's SystemExit becomes its exit code; every other exception
+    propagates, so a crash fails the calling test."""
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    except SystemExit as e:
+        code = 0 if e.code is None else e.code
+    finally:
+        sys.stdin = saved
+    return CliResult(code, out.getvalue(), err.getvalue())
+
+
+def run_child(
+    args: Sequence[str], stdin: str = "", hashseed: str | None = None,
+    address_space: int | None = None,
+) -> CliResult:
+    """[sys.executable, *args] in a child with this checkout's src on
+    PYTHONPATH, and PYTHONHASHSEED and RLIMIT_AS (bytes) set when given.
+    Only for tests whose subject is the process: a hash seed, an address
+    space limit, a fresh stack's depth, or `python -m` and its exit status."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    return dict(
-        os.environ, PYTHONPATH=(src + os.pathsep + path) if path else src, **extra
+    env = dict(os.environ, PYTHONPATH=(src + os.pathsep + path) if path else src)
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
+    r = subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True,
+        timeout=120, env=env,
+        preexec_fn=None if address_space is None else lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (address_space, address_space)),
     )
+    return CliResult(r.returncode, r.stdout, r.stderr)
 
 
 def ring_468() -> ComplexWithDegrees:

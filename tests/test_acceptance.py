@@ -8,8 +8,6 @@ A last test pins the package's exports to the README's Library section.
 import inspect
 import json
 import random
-import subprocess
-import sys
 from collections import Counter
 
 from srrealize import (
@@ -42,13 +40,14 @@ from srrealize.verify import pushout_recurrence_check
 from helpers import (
     antichain_complexes_24,
     brute_oracle_hilbert,
-    cli_env,
     naive_congruence_prime,
     random_complex,
     ring_468,
     ring_double_fan,
     ring_fan6,
     ring_split46,
+    run_child,
+    run_cli,
     shuffled_facets,
     single_facet,
 )
@@ -69,14 +68,6 @@ RING_468_JSON = json.dumps({
 def report(n: int, ok: bool) -> None:
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {n} failed"
-
-
-def run_cli(args, stdin, hashseed="0"):
-    return subprocess.run(
-        [sys.executable, "-m", "srrealize.cli", *args],
-        input=stdin, capture_output=True, text=True,
-        env=cli_env(PYTHONHASHSEED=hashseed),
-    )
 
 
 def constructible_diagram(c):
@@ -229,9 +220,8 @@ def test_criterion_09_end_to_end_soundness():
 def test_criterion_10_determinism():
     ok = True
     for args in (["check"], ["construct"], ["verify", "--max-degree", "24"]):
-        outs = {
-            run_cli(args, RING_468_JSON, hashseed=s).stdout for s in ("0", "1", "2")
-        }
+        outs = {run_child(["-m", "srrealize.cli", *args], RING_468_JSON,
+                          hashseed=s).stdout for s in ("0", "1", "2")}
         ok = ok and len(outs) == 1
 
     base = json.loads(RING_468_JSON)

@@ -1,5 +1,6 @@
 """Degree-multiset classification, obstruction checks, congruence primes."""
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -341,18 +342,20 @@ class TestDirichletPrime:
             assert all(p % q == 2 for q in extras)
 
     def test_rejects_bad_extras(self):
-        with pytest.raises(ValueError):
-            dirichlet_prime([9], 0)  # not prime
-        with pytest.raises(ValueError):
-            dirichlet_prime([7], 0)  # too small
-        with pytest.raises(ValueError):
-            dirichlet_prime([11, 11], 0)  # repeated
+        for extras, message in (
+            ([9], "extra modulus 9 must be a prime > 7"),  # not prime
+            ([7], "extra modulus 7 must be a prime > 7"),  # too small
+            ([11, 11], "extra primes must be pairwise distinct"),  # repeated
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                dirichlet_prime(extras, 0)
 
     def test_refuses_candidates_at_the_miller_rabin_bound(self):
         # the least strong pseudoprime to the twelve bases 2..37
         bound = 318665857834031151167461
         assert bound == 399165290221 * 798330580441
-        with pytest.raises(ValueError):
-            dirichlet_prime([bound], 0)
-        with pytest.raises(ValueError):
-            dirichlet_prime([], 10**24)
+        for extras, lower, n in (([bound], 0, bound), ([], 10**24, 10**24 + 583)):
+            message = (f"primality of {n} is not decided: the test is exact "
+                       f"only below {bound}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                dirichlet_prime(extras, lower)

@@ -1,10 +1,11 @@
 """Every top-level function, class and assigned name in the package has a
 reader in src/: no public API that nothing calls, and no constant or
-template left behind."""
+template left behind.  In tests/, only helpers.run_child starts a process."""
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "srrealize"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "srrealize"
 
 # Read only by tests and by the benchmark's tracer, which wraps them by name;
 # they leave this list when the tracer is aimed at today's code (ROADMAP
@@ -98,3 +99,23 @@ def test_no_json_dumps_in_src_passes_indent():
         and any(k.arg == "indent" for k in node.keywords)
     )
     assert calls == []
+
+
+def _subprocess_uses(path):
+    """(file, where) for each import of subprocess, where is its text, and
+    each read of the name, where is the top-level definition around it."""
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "subprocess":
+                yield path.name, getattr(top, "name", None)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and "subprocess" in (
+                getattr(node, "module", None), *(alias.name for alias in node.names)
+            ):
+                yield path.name, ast.unparse(node)
+
+
+def test_only_the_child_helper_uses_subprocess():
+    # a child interpreter costs about 0.1 s, cli.main in-process a few ms:
+    # only a test whose subject is the process itself may start one
+    uses = {use for path in sorted(TESTS.glob("*.py")) for use in _subprocess_uses(path)}
+    assert uses == {("helpers.py", "import subprocess"), ("helpers.py", "run_child")}

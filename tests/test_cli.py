@@ -1,12 +1,8 @@
 """Command line interface: subcommands, formats, exit codes, determinism."""
-import contextlib
 import hashlib
 import importlib
-import io
 import json
 import pkgutil
-import resource
-import subprocess
 import sys
 import time
 from functools import cached_property
@@ -17,11 +13,12 @@ from hypothesis import given, strategies as st
 from helpers import (
     HOSTILE_IDS,
     PROPERTY,
-    cli_env,
     complexes as complex_draws,
     naive_congruence_prime,
     report_to_json_dict,
     ring_double_fan,
+    run_child,
+    run_cli,
     verdict_to_json,
 )
 import srrealize
@@ -36,7 +33,7 @@ from srrealize import (
     verify_construction,
 )
 from srrealize.admissible import dirichlet_prime, sp_degrees
-from srrealize.cli import class_to_json, main as cli_main
+from srrealize.cli import class_to_json
 from srrealize.decide import find_partition
 from srrealize.diagram import diagram_from_json
 
@@ -130,17 +127,16 @@ def complex_json(c):
     })
 
 
-def run(args, stdin="", hashseed="0"):
-    return subprocess.run(
-        [sys.executable, "-m", "srrealize.cli", *args],
-        input=stdin, capture_output=True, text=True,
-        env=cli_env(PYTHONHASHSEED=hashseed),
-    )
+def diagram_args(tmp_path, obj):
+    """`--diagram PATH`, with the diagram object obj written to PATH."""
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(obj))
+    return ["--diagram", str(path)]
 
 
 class TestCheck:
     def test_realizable(self):
-        r = run(["check"], RING_468)
+        r = run_cli(["check"], RING_468)
         assert r.returncode == 0
         obj = json.loads(r.stdout)
         assert obj["verdict"] == "Realizable"
@@ -153,13 +149,13 @@ class TestCheck:
         }
 
     def test_sufficient_only(self):
-        r = run(["check"], PAIR_44)
+        r = run_cli(["check"], PAIR_44)
         assert r.returncode == 10
         obj = json.loads(r.stdout)
         assert obj == {"verdict": "SufficientOnly", "partition": [["a"], ["b"]]}
 
     def test_not_realizable(self):
-        r = run(["check"], SPLIT_46)
+        r = run_cli(["check"], SPLIT_46)
         assert r.returncode == 20
         obj = json.loads(r.stdout)
         assert obj == {
@@ -174,32 +170,25 @@ class TestCheck:
             "vertices": [{"id": "a", "degree": 4}, {"id": "b", "degree": degree}],
             "facets": [["a", "b"]],
         })
-        limit = (1 << 30, 1 << 30)
-        r = subprocess.run(
-            [sys.executable, "-m", "srrealize.cli", "check"],
-            input=stdin, capture_output=True, text=True, timeout=120,
-            env=cli_env(),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
-        )
+        r = run_child(["-m", "srrealize.cli", "check"], stdin, address_space=1 << 30)
         assert r.returncode == 20
         assert "Traceback" not in r.stderr
         assert json.loads(r.stdout)["verdict"] == "NotRealizable"
 
-    def test_one_long_facet_misses_the_table_in_under_1_s(self, tmp_path, capsys):
+    def test_one_long_facet_misses_the_table_in_under_1_s(self):
         # 2001 degrees on one facet: reading the table must stay linear in
         # them (a search over unions of rows takes about 20 s on this input)
         degrees = sp_degrees(2000) + (10**12,)
         ids = [f"v{i:04d}" for i in range(len(degrees))]
-        path = tmp_path / "long.json"
-        path.write_text(json.dumps({
+        text = json.dumps({
             "vertices": [{"id": v, "degree": d} for v, d in zip(ids, degrees)],
             "facets": [ids],
-        }))
+        })
         start = time.perf_counter()
-        code = cli_main(["check", str(path)])
+        r = run_cli(["check"], text)
         elapsed = time.perf_counter() - start
-        obj = json.loads(capsys.readouterr().out)
-        assert (code, obj["verdict"], obj["reason"]) == (
+        obj = json.loads(r.stdout)
+        assert (r.returncode, obj["verdict"], obj["reason"]) == (
             20, "NotRealizable", {"kind": "TableMiss"})
         assert elapsed < 1.0, elapsed
 
@@ -208,7 +197,7 @@ class TestCheck:
         # would overflow a recursive search
         a = [f"a{i:03d}" for i in range(600)]
         b = [f"b{i:03d}" for i in range(600)]
-        r = run(["check"], json.dumps({
+        r = run_cli(["check"], json.dumps({
             "vertices": [{"id": v, "degree": 4} for v in a + b],
             "facets": [list(pair) for pair in zip(a, b)],
         }))
@@ -216,12 +205,12 @@ class TestCheck:
         assert json.loads(r.stdout) == {"verdict": "SufficientOnly", "partition": [a, b]}
 
     def test_unknown(self):
-        r = run(["check"], EXCEPTIONAL)
+        r = run_cli(["check"], EXCEPTIONAL)
         assert r.returncode == 30
         assert json.loads(r.stdout) == {"verdict": "Unknown"}
 
     def test_hypothesis_violated(self):
-        r = run(["check"], BLOCKED_PAIR)
+        r = run_cli(["check"], BLOCKED_PAIR)
         assert r.returncode == 40
         obj = json.loads(r.stdout)
         assert obj == {
@@ -231,14 +220,14 @@ class TestCheck:
         }
 
     def test_text_format(self):
-        r = run(["check", "--format", "text"], SPLIT_46)
+        r = run_cli(["check", "--format", "text"], SPLIT_46)
         assert r.returncode == 20
         assert r.stdout.splitlines()[0] == "NotRealizable"
         assert "witness: ['x6']" in r.stdout
 
     def test_malformed_input(self):
         for bad in ("{", '{"vertices": [], "facets": [], "x": 1}', "[]"):
-            r = run(["check"], bad)
+            r = run_cli(["check"], bad)
             assert r.returncode == 2
             assert r.stderr.startswith("error:")
 
@@ -247,26 +236,26 @@ class TestCheck:
             "vertices": [{"id": "a", "degree": 3}],
             "facets": [["a"]],
         })
-        r = run(["check"], bad)
+        r = run_cli(["check"], bad)
         assert r.returncode == 2
 
     def test_file_input_and_output(self, tmp_path):
         src = tmp_path / "c.json"
         src.write_text(RING_468)
         dst = tmp_path / "out.json"
-        r = run(["check", str(src), "-o", str(dst)])
+        r = run_cli(["check", str(src), "-o", str(dst)])
         assert r.returncode == 0
         assert r.stdout == ""
         assert json.loads(dst.read_text())["verdict"] == "Realizable"
 
     def test_missing_file(self):
-        r = run(["check", "/nonexistent/path.json"])
+        r = run_cli(["check", "/nonexistent/path.json"])
         assert r.returncode == 2
 
 
 class TestConstruct:
     def test_dot_output(self):
-        r = run(["construct", "--format", "dot"], RING_468)
+        r = run_cli(["construct", "--format", "dot"], RING_468)
         assert r.returncode == 0
         assert r.stdout == (
             "digraph colimit {\n"
@@ -280,7 +269,7 @@ class TestConstruct:
         )
 
     def test_json_output(self):
-        r = run(["construct"], RING_468)
+        r = run_cli(["construct"], RING_468)
         assert r.returncode == 0
         obj = json.loads(r.stdout)
         assert [n["name"] for n in obj["nodes"]] == [
@@ -288,58 +277,54 @@ class TestConstruct:
         ]
 
     def test_sufficient_only_still_constructs(self):
-        r = run(["construct"], PAIR_44)
+        r = run_cli(["construct"], PAIR_44)
         assert r.returncode == 0
         obj = json.loads(r.stdout)
         assert obj["partition"] == [["a"], ["b"]]
 
     def test_no_diagram_when_refuted(self):
-        r = run(["construct"], SPLIT_46)
+        r = run_cli(["construct"], SPLIT_46)
         assert r.returncode == 20
         assert r.stdout == ""
         assert "no diagram: verdict is NotRealizable" in r.stderr
 
     def test_no_diagram_when_unknown(self):
-        r = run(["construct"], EXCEPTIONAL)
+        r = run_cli(["construct"], EXCEPTIONAL)
         assert r.returncode == 30
         assert "no diagram: verdict is Unknown" in r.stderr
 
 
 class TestVerify:
     def test_default_truncation_passes(self):
-        r = run(["verify"], RING_468)
+        r = run_cli(["verify"], RING_468)
         assert r.returncode == 0
         obj = json.loads(r.stdout)
         assert obj["passed"] is True
         assert obj["D"] == 48  # six times the top degree
 
     def test_text_format(self):
-        r = run(["verify", "--format", "text", "--max-degree", "20"], RING_468)
+        r = run_cli(["verify", "--format", "text", "--max-degree", "20"], RING_468)
         assert r.returncode == 0
         assert r.stdout.startswith("verification up to degree 20: PASS")
 
     def test_verdict_exit_when_no_diagram(self):
-        r = run(["verify"], SPLIT_46)
+        r = run_cli(["verify"], SPLIT_46)
         assert r.returncode == 20
 
     def test_colliding_node_names_pass(self, tmp_path):
-        assert run(["check"], COLLIDING_NAMES).returncode == 0
-        r = run(["verify"], COLLIDING_NAMES)
+        assert run_cli(["check"], COLLIDING_NAMES).returncode == 0
+        r = run_cli(["verify"], COLLIDING_NAMES)
         assert r.returncode == 0, json.loads(r.stdout)["first_discrepancy"]
-        path = tmp_path / "d.json"
-        path.write_text(run(["construct"], COLLIDING_NAMES).stdout)
-        r = run(["verify", "--diagram", str(path)], COLLIDING_NAMES)
+        obj = json.loads(run_cli(["construct"], COLLIDING_NAMES).stdout)
+        r = run_cli(["verify", *diagram_args(tmp_path, obj)], COLLIDING_NAMES)
         assert r.returncode == 0, json.loads(r.stdout)["first_discrepancy"]
 
     def test_external_diagram_mutation_fails(self, tmp_path):
-        built = run(["construct"], RING_468)
-        obj = json.loads(built.stdout)
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
         for node in obj["nodes"]:
             if node["name"] == "sigma_x4_x8":
                 node["factors"][0]["factor"]["n"] = 3
-        path = tmp_path / "mutated.json"
-        path.write_text(json.dumps(obj))
-        r = run(["verify", "--diagram", str(path)], RING_468)
+        r = run_cli(["verify", *diagram_args(tmp_path, obj)], RING_468)
         assert r.returncode == 1
         report = json.loads(r.stdout)
         assert report["passed"] is False
@@ -348,28 +333,20 @@ class TestVerify:
     @pytest.mark.parametrize("kind", ["BSp", "BSU"])
     @pytest.mark.parametrize("rank", [10**9, 10**30])
     def test_huge_factor_rank_is_a_discrepancy_within_1_gb(self, kind, rank, tmp_path):
-        obj = json.loads(run(["construct"], RING_468).stdout)
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
         for node in obj["nodes"]:
             if node["name"] == "sigma_x4_x8":
                 node["factors"][0]["factor"] = {"kind": kind, "n": rank}
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(obj))
-        limit = (1 << 30, 1 << 30)
-        r = subprocess.run(
-            [sys.executable, "-m", "srrealize.cli", "verify", "--diagram", str(path)],
-            input=RING_468, capture_output=True, text=True, timeout=120,
-            env=cli_env(),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
-        )
+        r = run_child(["-m", "srrealize.cli", "verify", *diagram_args(tmp_path, obj)],
+                      RING_468, address_space=1 << 30)
         assert r.returncode == 1
         assert "Traceback" not in r.stderr
         assert "sigma_x4_x8" in json.loads(r.stdout)["first_discrepancy"]
 
     def test_external_diagram_unmutated_passes(self, tmp_path):
-        built = run(["construct"], RING_468)
-        path = tmp_path / "d.json"
-        path.write_text(built.stdout)
-        r = run(["verify", "--diagram", str(path), "--max-degree", "24"], RING_468)
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
+        r = run_cli(["verify", *diagram_args(tmp_path, obj), "--max-degree", "24"],
+                    RING_468)
         assert r.returncode == 0
 
 
@@ -420,10 +397,12 @@ class TestInputHardening:
     """Malformed, deep or oversized input exits 2, never with a traceback
     or with exit 1 (the code for a verify discrepancy)."""
 
+    # The nesting tests run in a child: pytest's stack is deeper than a
+    # fresh interpreter's, so depth 995 in-process would hit another branch.
     @pytest.mark.parametrize("depth", [995, 100_000])
     def test_deeply_nested_complex(self, depth):
         text = '{"vertices": [' + "[" * depth + "]" * depth + '], "facets": []}'
-        r = run(["check"], text)
+        r = run_child(["-m", "srrealize.cli", "check"], text)
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
 
@@ -431,16 +410,16 @@ class TestInputHardening:
     def test_deeply_nested_diagram(self, depth, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"partition": ' + "[" * depth + "]" * depth + "}")
-        r = run(["verify", "--diagram", str(path)], RING_468)
+        r = run_child(["-m", "srrealize.cli", "verify", "--diagram", str(path)],
+                      RING_468)
         assert r.returncode == 2
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("case", list(_WRONG_TYPE_ERRORS))
     def test_diagram_field_of_wrong_type(self, case, tmp_path):
-        obj = _diagram_mutation(json.loads(run(["construct"], RING_468).stdout), case)
-        path = tmp_path / "mutated.json"
-        path.write_text(json.dumps(obj))
-        r = run(["verify", "--diagram", str(path)], RING_468)
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
+        obj = _diagram_mutation(obj, case)
+        r = run_cli(["verify", *diagram_args(tmp_path, obj)], RING_468)
         assert (r.returncode, r.stderr) == (2, f"error: {_WRONG_TYPE_ERRORS[case]}\n")
 
     @pytest.mark.parametrize("where, value, stderr", [
@@ -460,22 +439,18 @@ class TestInputHardening:
         "dict_map_kind", "iota1_without_after_iota3",
     ])
     def test_kind_outside_its_table(self, where, value, stderr, tmp_path):
-        obj = json.loads(run(["construct"], RING_468).stdout)
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
         if where == "factor":
             obj["nodes"][0]["factors"][0]["factor"] = value
         else:
             obj["edges"][0]["maps"][0]["lie"] = value
-        path = tmp_path / "mutated.json"
-        path.write_text(json.dumps(obj))
-        r = run(["verify", "--diagram", str(path)], RING_468)
+        r = run_cli(["verify", *diagram_args(tmp_path, obj)], RING_468)
         assert (r.returncode, r.stderr) == (2, f"error: {stderr}\n")
 
     def test_edge_map_without_cp(self, tmp_path):
-        obj = json.loads(run(["construct"], RING_468).stdout)
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
         del obj["edges"][0]["maps"][0]["cp"]
-        path = tmp_path / "mutated.json"
-        path.write_text(json.dumps(obj))
-        r = run(["verify", "--diagram", str(path)], RING_468)
+        r = run_cli(["verify", *diagram_args(tmp_path, obj)], RING_468)
         assert (r.returncode, r.stderr) == (2, "error: diagram edge map is missing 'cp'\n")
 
     def test_every_package_error_is_a_value_error(self):
@@ -494,7 +469,7 @@ class TestInputHardening:
         assert [e for e in errors if not issubclass(e, ValueError)] == []
 
     def test_max_degree_above_cap(self):
-        r = run(["verify", "--max-degree", "10002"], RING_468)
+        r = run_cli(["verify", "--max-degree", "10002"], RING_468)
         assert r.returncode == 2
         assert r.stderr == "error: truncation degree 10002 exceeds the cap of 10000\n"
 
@@ -502,7 +477,7 @@ class TestInputHardening:
         huge = json.dumps({
             "vertices": [{"id": "a", "degree": 10**12}], "facets": [["a"]],
         })
-        r = run(["verify"], huge)
+        r = run_cli(["verify"], huge)
         assert r.returncode == 2
         assert "exceeds the cap of 10000" in r.stderr
 
@@ -510,23 +485,21 @@ class TestInputHardening:
         ["check"], ["construct"], ["verify"], ["verify", "--diagram"],
         ["partition"], ["obstruct"],
     ])
-    def test_poset_above_the_cap(self, args, tmp_path, capsys):
+    def test_poset_above_the_cap(self, args, tmp_path):
         # boundary(30): a few KB of input, |P| = 2^30 - 1
         ids = [f"v{i:02d}" for i in range(30)]
-        path = tmp_path / "boundary.json"
-        path.write_text(json.dumps({
+        text = json.dumps({
             "vertices": [{"id": v, "degree": 2} for v in ids],
             "facets": [[w for w in ids if w != v] for v in ids],
-        }))
+        })
         if args[-1] == "--diagram":
-            diagram = tmp_path / "diagram.json"
-            diagram.write_text('{"partition": [], "nodes": [], "edges": []}')
-            args = args + [str(diagram)]
+            empty = {"partition": [], "nodes": [], "edges": []}
+            args = ["verify", *diagram_args(tmp_path, empty)]
         start = time.perf_counter()
-        code = cli_main(args + [str(path)])
+        r = run_cli(args, text)
         elapsed = time.perf_counter() - start
-        assert code == 2
-        assert capsys.readouterr().err == (
+        assert r.returncode == 2
+        assert r.stderr == (
             "error: facet-intersection poset exceeds the cap of "
             f"{complexes.MAX_POSET_ELEMENTS} elements\n"
         )
@@ -692,18 +665,16 @@ class TestBindingMutations:
     other node or edge field exits 1 or, where it cannot be parsed, 2."""
 
     def _mutations_passing_verify(self, name, mutations, codes, tmp_path):
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        report_path = str(tmp_path / "report.json")
-        complex_path.write_text(MUTATION_FIXTURES[name])
-        assert cli_main(["construct", str(complex_path), "-o", str(diagram_path)]) == 0
-        verify = ["verify", str(complex_path), "--diagram", str(diagram_path),
-                  "-o", report_path]
-        assert cli_main(verify) == 0
+        text = MUTATION_FIXTURES[name]
+        built = run_cli(["construct"], text)
+        assert built.returncode == 0
+        obj = json.loads(built.stdout)
+        assert run_cli(["verify", *diagram_args(tmp_path, obj)], text).returncode == 0
         passed, count = [], 0
-        for label, mutated in mutations(json.loads(diagram_path.read_text())):
-            diagram_path.write_text(json.dumps(mutated))
+        for label, mutated in mutations(obj):
             count += 1
-            if cli_main(verify) not in codes:
+            r = run_cli(["verify", *diagram_args(tmp_path, mutated)], text)
+            if r.returncode not in codes:
                 passed.append(label)
         assert count >= 10
         return passed
@@ -724,14 +695,10 @@ class TestBindingMutations:
             name, _partition_mutations, (1, 2), tmp_path) == []
 
     def test_reversed_block_fails(self, tmp_path):
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        complex_path.write_text(RING_468)
-        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
-        obj = json.loads(diagram_path.read_text())
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
         assert obj["partition"] == [["x4", "x6", "x8"]]
         obj["partition"] = [["x8", "x6", "x4"]]
-        diagram_path.write_text(json.dumps(obj))
-        r = run(["verify", str(complex_path), "--diagram", str(diagram_path)])
+        r = run_cli(["verify", *diagram_args(tmp_path, obj)], RING_468)
         assert r.returncode == 1
         assert json.loads(r.stdout)["first_discrepancy"] == (
             "diagram partition blocks are not in strictly ascending id order"
@@ -740,18 +707,14 @@ class TestBindingMutations:
     def test_empty_block_fails(self, tmp_path):
         # an extra empty block, a point factor for it at every node and no
         # map on every edge agree with everything else the diagram claims
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        complex_path.write_text(RING_468)
-        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
-        obj = json.loads(diagram_path.read_text())
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
         obj["partition"].append([])
         for node in obj["nodes"]:
             node["factors"].append({"block": 1, "factor": {"kind": "point"},
                                     "cp_vertices": [], "lie_vertices": []})
         for edge in obj["edges"]:
             edge["maps"].append({"block": 1, "lie": None, "cp": None})
-        diagram_path.write_text(json.dumps(obj))
-        r = run(["verify", str(complex_path), "--diagram", str(diagram_path)])
+        r = run_cli(["verify", *diagram_args(tmp_path, obj)], RING_468)
         assert r.returncode == 1
         assert json.loads(r.stdout)["first_discrepancy"] == (
             "diagram partition has an empty block"
@@ -762,10 +725,7 @@ class TestBindingMutations:
         # a second block {x4} with a BSp(1) factor at every node and an
         # identity map on every edge is consistent with everything below
         # degree 4, so only the partition itself can give it away
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        complex_path.write_text(RING_468)
-        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
-        obj = json.loads(diagram_path.read_text())
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
         obj["partition"].append(["x4"])
         for node in obj["nodes"]:
             node["factors"].append({"block": 1, "factor": {"kind": "BSp", "n": 1},
@@ -773,24 +733,19 @@ class TestBindingMutations:
         for edge in obj["edges"]:
             edge["maps"].append(
                 {"block": 1, "lie": {"kind": "iota2", "power": 0}, "cp": None})
-        diagram_path.write_text(json.dumps(obj))
-        r = run(["verify", str(complex_path), "--diagram", str(diagram_path),
-                 "--max-degree", degree])
+        r = run_cli(["verify", *diagram_args(tmp_path, obj), "--max-degree", degree],
+                    RING_468)
         assert r.returncode == 1
         assert json.loads(r.stdout)["first_discrepancy"] == (
             "diagram partition blocks are not disjoint"
         )
 
     def test_named_cp_bindings_fail(self, tmp_path):
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        complex_path.write_text(TORUS_AND_SP)
-        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
-        obj = json.loads(diagram_path.read_text())
+        obj = json.loads(run_cli(["construct"], TORUS_AND_SP).stdout)
         assert obj["nodes"][0]["factors"][0]["cp_vertices"] == ["t", "u"]
         for cp in (["t", "zz"], ["u", "t"], ["t", "t"]):
             obj["nodes"][0]["factors"][0]["cp_vertices"] = cp
-            diagram_path.write_text(json.dumps(obj))
-            r = run(["verify", str(complex_path), "--diagram", str(diagram_path)])
+            r = run_cli(["verify", *diagram_args(tmp_path, obj)], TORUS_AND_SP)
             assert r.returncode == 1, cp
             report = json.loads(r.stdout)
             assert report["first_discrepancy"] == (
@@ -842,49 +797,39 @@ class TestUnknownIds:
     so is a node on declared ids that span no face."""
 
     def test_every_field_gives_a_failing_report(self, tmp_path):
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        report_path = tmp_path / "report.json"
-        complex_path.write_text(RING_468)
-        assert cli_main(["construct", str(complex_path), "-o", str(diagram_path)]) == 0
-        verify = ["verify", str(complex_path), "--diagram", str(diagram_path),
-                  "-o", str(report_path)]
+        built = run_cli(["construct"], RING_468)
+        assert built.returncode == 0
         labels = []
-        for label, mutated in _unknown_id_mutations(json.loads(diagram_path.read_text())):
-            diagram_path.write_text(json.dumps(mutated))
-            assert cli_main(verify) == 1, label
-            assert json.loads(report_path.read_text())["passed"] is False, label
+        for label, mutated in _unknown_id_mutations(json.loads(built.stdout)):
+            r = run_cli(["verify", *diagram_args(tmp_path, mutated)], RING_468)
+            assert r.returncode == 1, label
+            assert json.loads(r.stdout)["passed"] is False, label
             labels.append(label)
         assert len(labels) == 28
         assert any(label.startswith("nodes/0/simplex") for label in labels)
 
     def test_node_simplex_is_not_a_face(self, tmp_path):
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        complex_path.write_text(RING_468)
-        cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
-        obj = json.loads(diagram_path.read_text())
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
         assert obj["nodes"][0]["name"] == "sigma_x4"
         obj["nodes"][0]["simplex"] = ["zz"]
-        diagram_path.write_text(json.dumps(obj))
-        r = run(["verify", str(complex_path), "--diagram", str(diagram_path),
-                 "--format", "text"])
+        r = run_cli(["verify", *diagram_args(tmp_path, obj), "--format", "text"],
+                    RING_468)
         assert (r.returncode, r.stderr) == (1, "")
         assert "\n  structure: node sigma_x4 is not a face\n" in r.stdout
 
     def test_node_on_a_hollow_triangle_is_not_a_face(self, tmp_path):
         # each pair of a, b, c spans a facet, so a face test that ORs the
         # vertices' facets where it should AND them takes [a, b, c] for a face
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        complex_path.write_text(json.dumps({
+        text = json.dumps({
             "vertices": [{"id": v, "degree": 2} for v in "abc"],
             "facets": [["a", "b"], ["b", "c"], ["a", "c"]],
-        }))
-        assert cli_main(["construct", str(complex_path), "-o", str(diagram_path)]) == 0
-        obj = json.loads(diagram_path.read_text())
+        })
+        built = run_cli(["construct"], text)
+        assert built.returncode == 0
+        obj = json.loads(built.stdout)
         node = next(n for n in obj["nodes"] if n["name"] == "sigma_a_b")
         obj["nodes"].append({**node, "name": "sigma_a_b_c", "simplex": ["a", "b", "c"]})
-        diagram_path.write_text(json.dumps(obj))
-        r = run(["verify", str(complex_path), "--diagram", str(diagram_path),
-                 "--format", "text"])
+        r = run_cli(["verify", *diagram_args(tmp_path, obj), "--format", "text"], text)
         assert (r.returncode, r.stderr) == (1, "")
         assert "\n  structure: node sigma_a_b_c is not a face\n" in r.stdout
 
@@ -914,11 +859,9 @@ class TestOnePosetPerCommand:
         "construct-PAIR_44", "check-one_facet_88",
     ])
     def test_one_pmax_call(self, args, text, ncovers, tmp_path, monkeypatch):
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        complex_path.write_text(text)
         if "--diagram" in args:
-            cli_main(["construct", str(complex_path), "-o", str(diagram_path)])
-            args = args + [str(diagram_path)]
+            obj = json.loads(run_cli(["construct"], text).stdout)
+            args = ["verify", *diagram_args(tmp_path, obj)]
         pmax, covers = complexes.pmax, complexes.MaxIntersectionPoset.covers
         build_index = complexes.ComplexWithDegrees.vertex_facets.func
         calls, cover_calls, index_builds = [], [], []
@@ -945,7 +888,7 @@ class TestOnePosetPerCommand:
                 monkeypatch.setattr(module, "pmax", counted)
         monkeypatch.setattr(complexes.MaxIntersectionPoset, "covers", counted_covers)
         monkeypatch.setattr(complexes.ComplexWithDegrees, "vertex_facets", index)
-        cli_main([*args, str(complex_path), "-o", str(tmp_path / "out")])
+        run_cli(args, text)
         assert len(calls) == 1
         assert len(cover_calls) == ncovers
         assert len(index_builds) == 1
@@ -953,23 +896,23 @@ class TestOnePosetPerCommand:
 
 class TestPartition:
     def test_found(self):
-        r = run(["partition", "--format", "text"], PAIR_44)
+        r = run_cli(["partition", "--format", "text"], PAIR_44)
         assert r.returncode == 0
         assert r.stdout == "a | b\n"
 
     def test_json(self):
-        r = run(["partition"], PAIR_44)
+        r = run_cli(["partition"], PAIR_44)
         assert json.loads(r.stdout) == {"partition": [["a"], ["b"]]}
 
     def test_none(self):
-        r = run(["partition", "--format", "text"], SPLIT_46)
+        r = run_cli(["partition", "--format", "text"], SPLIT_46)
         assert r.returncode == 1
         assert r.stdout == "none\n"
 
 
 class TestObstruct:
     def test_text_lines(self):
-        r = run(["obstruct", "--format", "text"], SPLIT_46)
+        r = run_cli(["obstruct", "--format", "text"], SPLIT_46)
         assert r.returncode == 0
         assert r.stdout.splitlines() == [
             "sigma []: multiset [] -> Torus degrees []",
@@ -978,14 +921,14 @@ class TestObstruct:
         ]
 
     def test_json_classes(self):
-        r = run(["obstruct"], RING_468)
+        r = run_cli(["obstruct"], RING_468)
         obj = json.loads(r.stdout)
         got = {tuple(e["simplex"]): e["class"]["family"] for e in obj["sigmas"]}
         assert got == {("x4",): "Sp", ("x4", "x6"): "SU", ("x4", "x8"): "Sp"}
 
     def test_thomas_reason_serialization(self):
         src = THOMAS_412
-        r = run(["obstruct"], src)
+        r = run_cli(["obstruct"], src)
         obj = json.loads(r.stdout)
         facet_entry = next(
             e for e in obj["sigmas"] if e["simplex"] == ["a", "b"]
@@ -994,38 +937,38 @@ class TestObstruct:
             "kind": "ThomasRank", "target": 12, "i": 2,
             "source": 8, "dimSource": 0, "dimTarget": 1,
         }
-        text = run(["obstruct", "--format", "text"], src)
+        text = run_cli(["obstruct", "--format", "text"], src)
         assert "ThomasRank target 12 source 8 dims 0<1" in text.stdout
 
 
 class TestPrime:
     def test_default(self):
-        r = run(["prime"])
+        r = run_cli(["prime"])
         assert r.returncode == 0
         obj = json.loads(r.stdout)
         assert obj["prime"] == 983
         assert obj["residues"] == {"16": 7, "3": 2, "5": 3, "7": 3}
 
     def test_lower_bound(self):
-        r = run(["prime", "--gt", "1000"])
+        r = run_cli(["prime", "--gt", "1000"])
         assert json.loads(r.stdout)["prime"] == 2663
 
     def test_extra_primes(self):
-        r = run(["prime", "--extra", "11", "--extra", "13"])
+        r = run_cli(["prime", "--extra", "11", "--extra", "13"])
         p = json.loads(r.stdout)["prime"]
         assert p == naive_congruence_prime([11, 13], 0)
 
     def test_text_format(self):
-        r = run(["prime", "--format", "text"])
+        r = run_cli(["prime", "--format", "text"])
         assert r.stdout == "983 (mod 16 = 7, mod 3 = 2, mod 5 = 3, mod 7 = 3)\n"
 
     def test_invalid_extra(self):
-        r = run(["prime", "--extra", "9"])
+        r = run_cli(["prime", "--extra", "9"])
         assert r.returncode == 2
 
     def test_extra_at_the_miller_rabin_bound(self):
         # 399165290221 * 798330580441 passes Miller-Rabin on bases 2..37
-        r = run(["prime", "--extra", "318665857834031151167461"])
+        r = run_cli(["prime", "--extra", "318665857834031151167461"])
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr.startswith("error:")
 
@@ -1044,7 +987,7 @@ class TestVerifyGoldenBytes:
     def test_stdout_digest(self, name, fmt, digest):
         stdin = {"double_fan": complex_json(ring_double_fan()),
                  "torus_20": TORUS_20}[name]
-        r = run(["verify", "--format", fmt], stdin)
+        r = run_cli(["verify", "--format", fmt], stdin)
         assert r.returncode == 0
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
@@ -1091,10 +1034,9 @@ class TestFailingVerifyGoldenBytes:
          "890bda3800a1edb3645157172e5ee3ec18937d11e1b01fee0fee143f1873efa4"),
     ])
     def test_stdout_digest(self, case, fmt, digest, tmp_path):
-        obj = _failing_mutation(json.loads(run(["construct"], RING_468).stdout), case)
-        path = tmp_path / "mutated.json"
-        path.write_text(json.dumps(obj))
-        r = run(["verify", "--diagram", str(path), "--format", fmt], RING_468)
+        obj = json.loads(run_cli(["construct"], RING_468).stdout)
+        obj = _failing_mutation(obj, case)
+        r = run_cli(["verify", *diagram_args(tmp_path, obj), "--format", fmt], RING_468)
         assert (r.returncode, r.stderr) == (1, "")
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
@@ -1163,7 +1105,7 @@ class TestCheckConstructGoldenBytes:
             "EXCEPTIONAL": EXCEPTIONAL, "BLOCKED_PAIR": BLOCKED_PAIR,
             "TORUS_20": TORUS_20, "double_fan": complex_json(ring_double_fan()),
         }[name]
-        r = run([cmd, "--format", fmt], stdin)
+        r = run_cli([cmd, "--format", fmt], stdin)
         assert r.returncode == code
         assert r.stderr == stderr
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
@@ -1226,14 +1168,14 @@ class TestPartitionObstructPrimeGoldenBytes:
     ])
     def test_stdout_and_exit(self, cmd, name, fmt, code, digest):
         if cmd == "prime":
-            r = run(["prime", "--gt", "1000", "--extra", "11", "--format", fmt])
+            r = run_cli(["prime", "--gt", "1000", "--extra", "11", "--format", fmt])
         else:
             stdin = {
                 "RING_468": RING_468, "SPLIT_46": SPLIT_46, "PAIR_44": PAIR_44,
                 "EXCEPTIONAL": EXCEPTIONAL, "BLOCKED_PAIR": BLOCKED_PAIR,
                 "ADEM_416": ADEM_416, "THOMAS_412": THOMAS_412,
             }[name]
-            r = run([cmd, "--format", fmt], stdin)
+            r = run_cli([cmd, "--format", fmt], stdin)
         assert r.returncode == code
         assert r.stderr == ""
         assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
@@ -1248,7 +1190,8 @@ class TestDeterminism:
             (["verify", "--max-degree", "24"], RING_468),
             (["check"], EXCEPTIONAL),
         ):
-            outs = {run(args, stdin, hashseed=s).stdout for s in ("0", "1", "2")}
+            outs = {run_child(["-m", "srrealize.cli", *args], stdin, hashseed=s).stdout
+                    for s in ("0", "1", "2")}
             assert len(outs) == 1, args
 
     def test_facet_order_does_not_change_check_or_construct(self):
@@ -1260,21 +1203,32 @@ class TestDeterminism:
             ],
             "facets": [["x8", "x4"], ["x6", "x4"]],
         })
-        assert run(["check"], RING_468).stdout == run(["check"], flipped).stdout
-        assert run(["construct"], RING_468).stdout == run(["construct"], flipped).stdout
+        for args in (["check"], ["construct"]):
+            assert run_cli(args, RING_468).stdout == run_cli(args, flipped).stdout
 
 
-def main_stdout(argv, stdin=""):
-    """cli.main in-process on stdin text: (exit code, stdout)."""
-    out, saved = io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli_main(argv)
-    finally:
-        sys.stdin = saved
-    return code, out.getvalue()
+class TestProcessExitStatus:
+    """`python -m srrealize.cli` exits with main's return value, or argparse's
+    usage error, and writes the bytes the in-process run writes."""
+
+    @pytest.mark.parametrize("args, stdin, code", [
+        (["check"], RING_468, 0),
+        (["verify"], RING_468, 1),
+        (["check"], "{", 2),
+        (["nosuch"], "", 2),
+        (["check"], PAIR_44, 10),
+        (["check"], SPLIT_46, 20),
+        (["check"], EXCEPTIONAL, 30),
+        (["check"], BLOCKED_PAIR, 40),
+    ], ids=["realizable", "discrepancy", "malformed", "usage", "sufficient_only",
+            "not_realizable", "unknown", "hypothesis_violated"])
+    def test_exit_status(self, args, stdin, code, tmp_path):
+        if code == 1:  # a mutated diagram
+            obj = json.loads(run_cli(["construct"], RING_468).stdout)
+            args = args + diagram_args(tmp_path, _failing_mutation(obj, "factor_rank"))
+        r = run_child(["-m", "srrealize.cli", *args], stdin)
+        assert r.returncode == code
+        assert r == run_cli(args, stdin)
 
 
 def dumps_indented(obj):
@@ -1313,7 +1267,7 @@ class TestJsonWriterBytes:
     def test_every_command_matches_json_dumps(self, c):
         text = complex_json(c)
         for cmd, want in oracle_outputs(c).items():
-            assert main_stdout([cmd], text)[1] == want, cmd
+            assert run_cli([cmd], text).stdout == want, cmd
 
     @pytest.mark.parametrize("text", [
         RING_468, SPLIT_46, PAIR_44, EXCEPTIONAL, BLOCKED_PAIR, TORUS_20,
@@ -1323,11 +1277,11 @@ class TestJsonWriterBytes:
         # between them the fixtures give every verdict kind and every
         # obstruction reason
         for cmd, want in oracle_outputs(srrealize.complex_from_json(text)).items():
-            assert main_stdout([cmd], text)[1] == want, cmd
+            assert run_cli([cmd], text).stdout == want, cmd
 
     def test_fixtures_cover_every_verdict(self):
         verdicts = {
-            json.loads(main_stdout(["check"], text)[1])["verdict"]
+            json.loads(run_cli(["check"], text).stdout)["verdict"]
             for text in (RING_468, PAIR_44, EXCEPTIONAL, BLOCKED_PAIR,
                          ADEM_416, THOMAS_412)
         }
@@ -1345,7 +1299,7 @@ class TestJsonWriterBytes:
         p = dirichlet_prime(extras, gt)
         want = {"prime": p,
                 "residues": {str(m): p % m for m in [16, 3, 5, 7, *extras]}}
-        assert main_stdout(argv) == (0, dumps_indented(want))
+        assert run_cli(argv) == (0, dumps_indented(want), "")
 
     def _hostile(self):
         p, q, r, s, t, u, v = HOSTILE_IDS
@@ -1357,7 +1311,7 @@ class TestJsonWriterBytes:
         outputs = oracle_outputs(c)
         assert set(outputs) == {"check", "partition", "obstruct", "verify"}
         for cmd, want in outputs.items():
-            assert main_stdout([cmd], complex_json(c))[1] == want, cmd
+            assert run_cli([cmd], complex_json(c)).stdout == want, cmd
         for written in ('"p%"', '"q%s"', '"r%%"', '"s\\""', '"t\\\\"', '"u_"',
                         '"v\\u00e9"'):
             assert written in outputs["check"]
@@ -1367,24 +1321,20 @@ class TestJsonWriterBytes:
         # failing nodes and edges, structure issues and the first
         # discrepancy all quote hostile ids
         c = self._hostile()
-        complex_path, diagram_path = tmp_path / "c.json", tmp_path / "d.json"
-        complex_path.write_text(complex_json(c))
-        assert cli_main(["construct", str(complex_path), "-o",
-                         str(diagram_path)]) == 0
-        obj = json.loads(diagram_path.read_text())
+        built = run_cli(["construct"], complex_json(c))
+        assert built.returncode == 0
+        obj = json.loads(built.stdout)
         obj["nodes"][-1]["factors"][0]["factor"] = {"kind": "BSU", "n": 9}
         obj["edges"][0]["generator_map"] = {"q%s": None}
         obj["nodes"][0]["simplex"] = ["w%s", 'x"']
         obj["partition"] = [["p%", "q%s"], ["r%%"]]
-        text = json.dumps(obj)
-        diagram_path.write_text(text)
-        report = verify_construction(c, diagram_from_json(text), 48)
+        report = verify_construction(c, diagram_from_json(json.dumps(obj)), 48)
         assert not report.passed
         assert any(not n.ok for n in report.node_checks)
         assert any(not e.ok for e in report.edge_checks)
         assert report.structure_issues
-        code, out = main_stdout(["verify", str(complex_path), "--diagram",
-                                 str(diagram_path)])
+        code, out, _ = run_cli(["verify", *diagram_args(tmp_path, obj)],
+                               complex_json(c))
         assert code == 1
         assert out == dumps_indented(report_to_json_dict(report))
         assert "'w%s'" in out and '"sigma_p%_q%s_r%%"' in out

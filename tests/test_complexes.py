@@ -4,8 +4,6 @@ import itertools
 import json
 import random
 import re
-import subprocess
-import sys
 import time
 
 import pytest
@@ -25,13 +23,13 @@ from helpers import (
     PROPERTY,
     brute_is_face,
     brute_pmax,
-    cli_env,
     complexes,
     degree2_complex,
     naive_covers,
     random_complex,
     ring_468,
     ring_double_fan,
+    run_child,
 )
 
 
@@ -192,8 +190,7 @@ def test_unknown_vertex_is_the_least_under_every_hash_seed():
         "    print(e)\n"
     )
     for seed in ("1", "5"):
-        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                           text=True, env=cli_env(PYTHONHASHSEED=seed))
+        r = run_child(["-c", code], hashseed=seed)
         assert (r.stdout, r.stderr) == ("unknown vertex 'xx'\n", ""), seed
 
 
