@@ -29,6 +29,11 @@ Q_j only because Moebius sums over both families count SR rings exactly (the
 argument in hilbert), and the update never reads the free or the
 intersection side.  A wrong weight or a wrong update fails a row.
 
+A StepRecord keeps the step's four Hilbert functions, not its rows: its
+previous side is the last step's union tuple itself (the point's at step
+1).  The rows, (degree, union, previous, free, intersection, ok) per even
+degree, exist only while a report is checked or written (StepRecord.rows).
+
 verify_construction couples the recurrence with two per-diagram checks:
 every node label has the free cohomology of its simplex (equal Hilbert
 functions up to the truncation), and every edge's induced generator map is
@@ -39,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import takewhile
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .complexes import (
     ComplexError,
@@ -64,6 +70,7 @@ from .diagram import (
     partition_issues,
 )
 from .hilbert import (
+    Hilbert,
     add_free_hilbert,
     check_truncation,
     free_hilbert,
@@ -73,27 +80,25 @@ from .hilbert import (
 
 
 @dataclass
-class DegreeRow:
-    degree: int
-    union_dim: int
-    previous_dim: int
-    free_dim: int
-    intersection_dim: int
-
-    @property
-    def ok(self) -> bool:
-        return self.union_dim == self.previous_dim + self.free_dim - self.intersection_dim
-
-
-@dataclass
 class StepRecord:
+    """Step index, which glues on facet: the Hilbert functions of SR(K_j),
+    SR(K_{j-1}), Z[s_j] and SR(K_{j-1} /\\ s_j), indexed by degree / 2."""
     index: int
     facet: tuple[str, ...]
-    rows: list[DegreeRow]
+    union: Hilbert
+    previous: Hilbert
+    free: Hilbert
+    intersection: Hilbert
+
+    def rows(self) -> Iterator[tuple[int, int, int, int, int, bool]]:
+        """(degree, union, previous, free, intersection, ok) per even degree."""
+        sides = zip(self.union, self.previous, self.free, self.intersection)
+        return ((2 * i, u, p, f, q, u == p + f - q)
+                for i, (u, p, f, q) in enumerate(sides))
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
+        return all(row[5] for row in self.rows())
 
 
 @dataclass
@@ -145,17 +150,15 @@ class VerificationReport:
             if not e.ok:
                 return f"edge {e.source} -> {e.target}: {e.detail}"
         for s in self.steps:
-            for r in s.rows:
-                if not r.ok:
-                    return (
-                        f"step {s.index} (facet {list(s.facet)}), degree "
-                        f"{r.degree}: {r.union_dim} != {r.previous_dim} + "
-                        f"{r.free_dim} - {r.intersection_dim}"
-                    )
+            for d, u, p, f, q, ok in s.rows():
+                if not ok:
+                    return (f"step {s.index} (facet {list(s.facet)}), degree "
+                            f"{d}: {u} != {p} + {f} - {q}")
         return None
 
     def to_json(self) -> str:
         """The report as JSON text, from the record templates."""
+        first = self.first_discrepancy
         nodes = [
             _NODE % (encode_basestring_ascii(n.name), json_value(n.ok),
                      json_value(n.first_bad_degree), json_value(n.expected),
@@ -170,16 +173,12 @@ class VerificationReport:
         ]
         steps = [
             _STEP % (s.index, json_strings(s.facet, 3), json_value(s.ok),
-                     json_container("[", [
-                         _ROW % (r.degree, r.union_dim, r.previous_dim,
-                                 r.free_dim, r.intersection_dim)
-                         for r in s.rows
-                     ], "]", 3))
+                     json_container("[", [_ROW % row[:5] for row in s.rows()],
+                                    "]", 3))
             for s in self.steps
         ]
         return _REPORT % (
-            self.truncation, json_value(self.passed),
-            json_value(self.first_discrepancy),
+            self.truncation, json_value(first is None), json_value(first),
             json_strings(self.structure_issues, 1),
             json_container("[", nodes, "]", 1),
             json_container("[", edges, "]", 1),
@@ -187,8 +186,9 @@ class VerificationReport:
         )
 
     def to_text(self) -> str:
+        first = self.first_discrepancy
         lines = [f"verification up to degree {self.truncation}: "
-                 + ("PASS" if self.passed else f"FAIL ({self.first_discrepancy})")]
+                 + ("PASS" if first is None else f"FAIL ({first})")]
         for issue in self.structure_issues:
             lines.append(f"  structure: {issue}")
         for n in self.node_checks:
@@ -201,12 +201,10 @@ class VerificationReport:
         for s in self.steps:
             lines.append(f"  step {s.index} facet {list(s.facet)}: "
                          + ("ok" if s.ok else "FAIL"))
-            for r in s.rows:
-                mark = "" if r.ok else "  <- mismatch"
-                lines.append(
-                    f"    d={r.degree}: {r.union_dim} = {r.previous_dim} + "
-                    f"{r.free_dim} - {r.intersection_dim}{mark}"
-                )
+            lines.extend(
+                f"    d={d}: {u} = {p} + {f} - {q}" + ("" if ok else "  <- mismatch")
+                for d, u, p, f, q, ok in s.rows()
+            )
         return "\n".join(lines) + "\n"
 
 
@@ -247,13 +245,11 @@ def pushout_recurrence_check(c: ComplexWithDegrees, truncation: int) -> Verifica
                 change[r] = delta
         weight.update(new)
         cur_h = add_free_hilbert(c, prev_h, change)
-        free_h = free_hilbert(tuple(c.degree_map[v] for v in facet), truncation)
-        inter_h = mobius_hilbert(c, meet, truncation)
-        rows = [
-            DegreeRow(2 * i, *dims)
-            for i, dims in enumerate(zip(cur_h, prev_h, free_h, inter_h))
-        ]
-        report.steps.append(StepRecord(j, simplex_key(facet), rows))
+        report.steps.append(StepRecord(
+            j, simplex_key(facet), cur_h, prev_h,
+            free_hilbert(tuple(c.degree_map[v] for v in facet), truncation),
+            mobius_hilbert(c, meet, truncation),
+        ))
         prev_h = cur_h
     return report
 

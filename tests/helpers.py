@@ -72,7 +72,7 @@ from srrealize.hilbert import (
     mobius_hilbert,
     sr_hilbert,
 )
-from srrealize.verify import DegreeRow, StepRecord, VerificationReport
+from srrealize.verify import StepRecord, VerificationReport
 
 # Property tests run a fixed example sequence, so a run is repeatable, and
 # take no timing into account, so a loaded host cannot fail them.
@@ -129,9 +129,27 @@ def run_child(
     return CliResult(r.returncode, r.stdout, r.stderr)
 
 
+@lru_cache(maxsize=None)
+def run_seeded(args: tuple[str, ...], stdin: str, hashseed: str) -> CliResult:
+    """run_child under a hash seed, memoized: tests that compare outputs
+    across hash seeds share the children they have in common."""
+    return run_child(args, stdin, hashseed)
+
+
 def ring_468() -> ComplexWithDegrees:
     """Z[x4,x6,x8] with the single relation x6*x8 = 0."""
     return make_complex({"x4": 4, "x6": 6, "x8": 8}, [{"x4", "x6"}, {"x4", "x8"}])
+
+
+def complex_json(c: ComplexWithDegrees) -> str:
+    """c as the commands read it on stdin."""
+    return json.dumps({
+        "vertices": [{"id": v, "degree": d} for v, d in c.degree_map.items()],
+        "facets": [sorted(f) for f in c.facets],
+    })
+
+
+RING_468 = complex_json(ring_468())
 
 
 def ring_fan6(n: int) -> ComplexWithDegrees:
@@ -227,11 +245,7 @@ def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> Hilbert:
     check_truncation(truncation)
     ids = sorted(c.sorted_ids, key=lambda v: -c.degree_map[v])
     degs = [c.degree_map[v] for v in ids]
-    facets = c.facets
     dims = {d: 0 for d in range(0, truncation + 1, 2)}
-
-    def is_face(support: frozenset[str]) -> bool:
-        return not support or any(support <= f for f in facets)
 
     def walk(idx: int, total: int, support: frozenset[str]) -> None:
         if idx == len(ids):
@@ -239,13 +253,10 @@ def brute_oracle_hilbert(c: ComplexWithDegrees, truncation: int) -> Hilbert:
             return
         walk(idx + 1, total, support)
         bumped = support | {ids[idx]}
-        if not is_face(bumped):
+        if not brute_is_face(c, bumped):
             return
-        step = degs[idx]
-        t = total + step
-        while t <= truncation:
+        for t in range(total + degs[idx], truncation + 1, degs[idx]):
             walk(idx + 1, t, bumped)
-            t += step
     walk(0, 0, frozenset())
     return tuple(dims[d] for d in range(0, truncation + 1, 2))
 
@@ -380,11 +391,7 @@ def report_to_json_dict(report: VerificationReport) -> dict:
                 "index": s.index,
                 "facet": list(s.facet),
                 "ok": s.ok,
-                "rows": [
-                    [r.degree, r.union_dim, r.previous_dim, r.free_dim,
-                     r.intersection_dim]
-                    for r in s.rows
-                ],
+                "rows": [list(row[:5]) for row in s.rows()],
             }
             for s in report.steps
         ],
@@ -445,12 +452,8 @@ def prefix_recurrence_check(
         free_h = free_hilbert(c.degree_multiset(facet), truncation)
         facet_complex = _subcomplex_on_facets(c, (facet,))
         inter_h = sr_hilbert(intersection_complex(prev, facet_complex), truncation)
-        rows = [
-            DegreeRow(d, cur_h[d // 2], prev_h[d // 2], free_h[d // 2],
-                      inter_h[d // 2])
-            for d in range(0, truncation + 1, 2)
-        ]
-        report.steps.append(StepRecord(j, simplex_key(facet), rows))
+        report.steps.append(
+            StepRecord(j, simplex_key(facet), cur_h, prev_h, free_h, inter_h))
         prev, prev_h = current, cur_h
     return report
 
@@ -470,12 +473,8 @@ def reference_recurrence_check(
         cur_h = mobius_hilbert(c, family, truncation)
         free_h = free_hilbert(c.degree_multiset(facet), truncation)
         inter_h = mobius_hilbert(c, meet, truncation)
-        rows = [
-            DegreeRow(d, cur_h[d // 2], prev_h[d // 2], free_h[d // 2],
-                      inter_h[d // 2])
-            for d in range(0, truncation + 1, 2)
-        ]
-        report.steps.append(StepRecord(j, simplex_key(facet), rows))
+        report.steps.append(
+            StepRecord(j, simplex_key(facet), cur_h, prev_h, free_h, inter_h))
         prev_h = cur_h
     return report
 

@@ -38,6 +38,7 @@ from srrealize.hilbert import sr_hilbert
 from srrealize.verify import pushout_recurrence_check
 
 from helpers import (
+    RING_468,
     antichain_complexes_24,
     brute_oracle_hilbert,
     naive_congruence_prime,
@@ -46,23 +47,14 @@ from helpers import (
     ring_double_fan,
     ring_fan6,
     ring_split46,
-    run_child,
     run_cli,
+    run_seeded,
     shuffled_facets,
     single_facet,
 )
 
 RNG = random.Random(468)
 FAMILY = [random_complex(RNG) for _ in range(200)]
-
-RING_468_JSON = json.dumps({
-    "vertices": [
-        {"id": "x4", "degree": 4},
-        {"id": "x6", "degree": 6},
-        {"id": "x8", "degree": 8},
-    ],
-    "facets": [["x4", "x6"], ["x4", "x8"]],
-})
 
 
 def report(n: int, ok: bool) -> None:
@@ -166,9 +158,8 @@ def test_criterion_06_pushout_recurrence():
         for _ in range(3):
             ok = ok and pushout_recurrence_check(shuffled_facets(c, rng), 40).passed
     rep = pushout_recurrence_check(ring_468(), 12)
-    row = next(r for r in rep.steps[1].rows if r.degree == 12)
-    ok = ok and (row.union_dim, row.previous_dim, row.free_dim,
-                 row.intersection_dim) == (3, 2, 2, 1)
+    row = next(r for r in rep.steps[1].rows() if r[0] == 12)
+    ok = ok and row == (12, 3, 2, 2, 1, True)
     report(6, ok)
 
 
@@ -220,14 +211,14 @@ def test_criterion_09_end_to_end_soundness():
 def test_criterion_10_determinism():
     ok = True
     for args in (["check"], ["construct"], ["verify", "--max-degree", "24"]):
-        outs = {run_child(["-m", "srrealize.cli", *args], RING_468_JSON,
-                          hashseed=s).stdout for s in ("0", "1", "2")}
+        outs = {run_seeded(("-m", "srrealize.cli", *args), RING_468, s).stdout
+                for s in ("0", "1", "2")}
         ok = ok and len(outs) == 1
 
-    base = json.loads(RING_468_JSON)
+    base = json.loads(RING_468)
     flipped = dict(base, facets=[list(reversed(f)) for f in reversed(base["facets"])])
     for args in (["check"], ["construct"], ["construct", "--format", "dot"]):
-        a = run_cli(args, RING_468_JSON).stdout
+        a = run_cli(args, RING_468).stdout
         b = run_cli(args, json.dumps(flipped)).stdout
         ok = ok and a == b and a != ""
     report(10, ok)

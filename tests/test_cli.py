@@ -13,12 +13,15 @@ from hypothesis import given, strategies as st
 from helpers import (
     HOSTILE_IDS,
     PROPERTY,
+    RING_468,
+    complex_json,
     complexes as complex_draws,
     naive_congruence_prime,
     report_to_json_dict,
     ring_double_fan,
     run_child,
     run_cli,
+    run_seeded,
     verdict_to_json,
 )
 import srrealize
@@ -36,15 +39,6 @@ from srrealize.admissible import dirichlet_prime, sp_degrees
 from srrealize.cli import class_to_json
 from srrealize.decide import find_partition
 from srrealize.diagram import diagram_from_json
-
-RING_468 = json.dumps({
-    "vertices": [
-        {"id": "x4", "degree": 4},
-        {"id": "x6", "degree": 6},
-        {"id": "x8", "degree": 8},
-    ],
-    "facets": [["x4", "x6"], ["x4", "x8"]],
-})
 
 SPLIT_46 = json.dumps({
     "vertices": [{"id": "x4", "degree": 4}, {"id": "x6", "degree": 6}],
@@ -118,13 +112,6 @@ COLLIDING_NAMES = json.dumps({
     + [{"id": "a_b", "degree": 4}],
     "facets": [["a", "b", "c"], ["a", "b", "d"], ["a_b", "c"], ["a_b", "d"]],
 })
-
-
-def complex_json(c):
-    return json.dumps({
-        "vertices": [{"id": v, "degree": d} for v, d in c.degree_map.items()],
-        "facets": [sorted(f) for f in c.facets],
-    })
 
 
 def diagram_args(tmp_path, obj):
@@ -1190,7 +1177,7 @@ class TestDeterminism:
             (["verify", "--max-degree", "24"], RING_468),
             (["check"], EXCEPTIONAL),
         ):
-            outs = {run_child(["-m", "srrealize.cli", *args], stdin, hashseed=s).stdout
+            outs = {run_seeded(("-m", "srrealize.cli", *args), stdin, s).stdout
                     for s in ("0", "1", "2")}
             assert len(outs) == 1, args
 

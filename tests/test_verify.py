@@ -78,9 +78,14 @@ class TestPushoutRecurrence:
         assert report.passed
         step2 = report.steps[1]
         assert step2.facet == ("x4", "x8")
-        row12 = next(r for r in step2.rows if r.degree == 12)
-        assert (row12.union_dim, row12.previous_dim,
-                row12.free_dim, row12.intersection_dim) == (3, 2, 2, 1)
+        row12 = next(r for r in step2.rows() if r[0] == 12)
+        assert row12 == (12, 3, 2, 2, 1, True)
+
+    def test_previous_side_is_the_last_union(self):
+        steps = pushout_recurrence_check(ring_double_fan(), 16).steps
+        assert steps[0].previous == (1, 0, 0, 0, 0, 0, 0, 0, 0)
+        for j in range(1, len(steps)):
+            assert steps[j].previous is steps[j - 1].union
 
     def test_passes_under_any_facet_order(self):
         rng = random.Random(22)
@@ -137,7 +142,7 @@ class TestPushoutRecurrence:
         report = pushout_recurrence_check(c, 16)
         assert [s.ok for s in report.steps] == [True, True, False, True]
         assert report.first_discrepancy.startswith("step 3 (facet")
-        assert [r.degree for r in report.steps[2].rows if not r.ok] == [8]
+        assert [d for d, *_, ok in report.steps[2].rows() if not ok] == [8]
 
     def test_torus_recurrence_wall_time(self):
         # |P| = 4584; reweighing the whole family at every step took about
@@ -177,7 +182,7 @@ class TestPushoutRecurrence:
         assert len(steps) == len(c.facets)
         if steps:
             oracle = brute_oracle_hilbert(c, 24)
-            assert tuple(r.union_dim for r in steps[-1].rows) == oracle
+            assert tuple(union for _, union, *_ in steps[-1].rows()) == oracle
 
 
 def close_under_intersection(family):
